@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim results fuzz check-fault check-scale check-churn check-serve check-workload
+.PHONY: check fmt vet build test race bench bench-baseline bench-wormsim-baseline bench-routing-baseline bench-heuristics-baseline bench-serve-baseline bench-regression profile-wormsim results fuzz check-fault check-scale check-churn check-serve check-workload check-perfbench
 
 ## check: everything CI runs — format, vet, build, race tests, quick benchmarks
 check: fmt vet build race bench
@@ -142,6 +142,13 @@ check-workload:
 	$(GO) run ./cmd/mcworkload -quick -replay $$a/bursty.trace >/dev/null || \
 		{ echo "check-workload: trace record/replay failed"; exit 1; }; \
 	echo "check-workload: mcworkload outputs byte-identical across -parallel/-shards"
+
+## check-perfbench: the benchmark's own tests — the drive loop pinned to
+## sched.Serve, BENCHMARK.json matching the code, and each workload
+## reaching the layer it is meant to load (perfbench is its own module,
+## so `go test ./...` at the root does not run them)
+check-perfbench:
+	cd perfbench && $(GO) test ./...
 
 ## results: regenerate every table and figure at full fidelity
 results:

@@ -103,15 +103,25 @@ func LEN(h *topology.Hypercube, k core.MulticastSet) *STResult {
 // Returns the pruned tree's edge count; the edges are left in
 // ws.kmbPacked as (min<<32|max) pairs in ascending order.
 //
-// The computation is fully deterministic: the Prim step scans tree
-// terminals in insertion order and candidates in input order with strict
-// improvement, so ties resolve to the earliest pair (the map-based
-// original left them to map iteration order).
+// The computation is fully deterministic: among the minimum-distance
+// (tree terminal, candidate) pairs the Prim step takes the one whose
+// tree terminal joined the tree earliest, then the candidate earliest
+// in input order (the map-based original left ties to map iteration
+// order). See kmbPrim.
 func (ws *Workspace) KMB(g *graphx.Graph, terminals []int) int {
 	if len(terminals) < 2 {
 		ws.kmbPacked = ws.kmbPacked[:0]
 		return 0
 	}
+	ws.kmbClosure(g, terminals)
+	ws.kmbPrim(terminals)
+	return ws.kmbTree(terminals)
+}
+
+// kmbClosure builds the metric closure over the terminals: one BFS
+// distance row per terminal in ws.kdist (stride |V|), and sizes the
+// per-vertex KMB scratch for g.
+func (ws *Workspace) kmbClosure(g *graphx.Graph, terminals []int) {
 	if ws.csrFor != g {
 		ws.csr, ws.csrFor = graphx.NewCSR(g), g
 	}
@@ -119,7 +129,6 @@ func (ws *Workspace) KMB(g *graphx.Graph, terminals []int) int {
 	n := csr.N()
 	nt := len(terminals)
 
-	// Metric closure: BFS distance row per terminal (stride n).
 	if cap(ws.kdist) < nt*n {
 		ws.kdist = make([]int32, nt*n)
 	}
@@ -152,35 +161,65 @@ func (ws *Workspace) KMB(g *graphx.Graph, terminals []int) int {
 		}
 		ws.kqueue = q
 	}
+}
 
-	// Prim's MST over the terminal closure. ktList holds the terminal
-	// indices already in the tree, in insertion order; ws.vis marks their
-	// vertices.
+// kmbPrim is Prim's MST over the terminal closure in O(t²). ktList
+// holds the terminal indices already in the tree, in insertion order;
+// ws.vis marks their vertices. For each candidate si, kkey[si] is its
+// closure distance to the tree (-1: unreachable so far) and karg[si] the
+// ktList position of the earliest tree terminal at that distance; a new
+// tree member updates them only on strict improvement, so the earlier
+// position keeps a tie. Each round joins the candidate minimal by
+// (kkey, karg, si) — the lexicographically first minimum-distance pair
+// by (insertion position, input index), the pair a full rescan of every
+// (tree terminal, candidate) pair in that order with strict improvement
+// would pick. The closure edges go to ws.kclosure.
+func (ws *Workspace) kmbPrim(terminals []int) {
+	n := ws.csr.N()
+	nt := len(terminals)
+	if cap(ws.kkey) < nt {
+		ws.kkey = make([]int32, nt)
+		ws.karg = make([]int32, nt)
+	}
+	key, arg := ws.kkey[:nt], ws.karg[:nt]
+	for i := range key {
+		key[i] = -1
+	}
 	ws.ktList = append(ws.ktList[:0], 0)
 	ws.vis.reset(n)
 	ws.vis.mark(int32(terminals[0]))
 	ws.kclosure = ws.kclosure[:0]
 	for len(ws.ktList) < nt {
-		bestU, bestV := int32(-1), int32(-1)
-		bestD := int32(-1)
-		for _, ti := range ws.ktList {
-			row := ws.kdist[int(ti)*n : (int(ti)+1)*n]
-			for si, s := range terminals {
-				if ws.vis.has(int32(s)) {
-					continue
-				}
-				if d := row[s]; d >= 0 && (bestD < 0 || d < bestD) {
-					bestU, bestV, bestD = ti, int32(si), d
-				}
+		pos := int32(len(ws.ktList) - 1)
+		ti := ws.ktList[pos]
+		row := ws.kdist[int(ti)*n : (int(ti)+1)*n]
+		best := int32(-1)
+		for si, s := range terminals {
+			if ws.vis.has(int32(s)) {
+				continue
+			}
+			if d := row[s]; d >= 0 && (key[si] < 0 || d < key[si]) {
+				key[si], arg[si] = d, pos
+			}
+			if k := key[si]; k >= 0 && (best < 0 || k < key[best] || k == key[best] && arg[si] < arg[best]) {
+				best = int32(si)
 			}
 		}
-		if bestU < 0 {
+		if best < 0 {
 			panic("heuristics: KMB terminals not connected")
 		}
-		ws.kclosure = append(ws.kclosure, [2]int32{bestU, bestV})
-		ws.vis.mark(int32(terminals[bestV]))
-		ws.ktList = append(ws.ktList, bestV)
+		ws.kclosure = append(ws.kclosure, [2]int32{ws.ktList[arg[best]], best})
+		ws.vis.mark(int32(terminals[best]))
+		ws.ktList = append(ws.ktList, best)
 	}
+}
+
+// kmbTree expands the closure MST in ws.kclosure into graph paths, takes
+// their spanning tree, prunes non-terminal leaves, and leaves the sorted
+// packed edges in ws.kmbPacked. Returns the edge count.
+func (ws *Workspace) kmbTree(terminals []int) int {
+	csr := ws.csr
+	n := csr.N()
 
 	// Expand each closure edge into the deterministic shortest path
 	// (backward walk from v choosing the first adjacency-order neighbor

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"fmt"
 	"testing"
 
 	"multicastnet/internal/core"
@@ -78,23 +79,40 @@ func BenchmarkGreedySTCarried(b *testing.B) {
 	_ = total
 }
 
+// BenchmarkKMB times KMB on 11 terminals of a 16x16 mesh, then on a
+// source plus k destinations on the static study's hosts: the larger k
+// show how the closure MST step scales with the terminal count.
 func BenchmarkKMB(b *testing.B) {
-	m := topology.NewMesh2D(16, 16)
-	g := TopologyGraph(m)
-	rng := stats.NewRand(1990)
-	terms := make([][]int, 64)
-	for i := range terms {
-		terms[i] = rng.Sample(m.Nodes(), 11)
+	run := func(b *testing.B, t topology.Topology, terminals int) {
+		g := TopologyGraph(t)
+		rng := stats.NewRand(1990)
+		terms := make([][]int, 64)
+		for i := range terms {
+			terms[i] = rng.Sample(t.Nodes(), terminals)
+		}
+		ws := NewWorkspace()
+		ws.KMB(g, terms[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		total := 0
+		for i := 0; i < b.N; i++ {
+			total += ws.KMB(g, terms[i%len(terms)])
+		}
+		_ = total
 	}
-	ws := NewWorkspace()
-	ws.KMB(g, terms[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		total += ws.KMB(g, terms[i%len(terms)])
+	b.Run("mesh16x16", func(b *testing.B) { run(b, topology.NewMesh2D(16, 16), 11) })
+	hosts := []struct {
+		name string
+		t    topology.Topology
+	}{
+		{"mesh32x32", topology.NewMesh2D(32, 32)},
+		{"cube10", topology.NewHypercube(10)},
 	}
-	_ = total
+	for _, h := range hosts {
+		for _, k := range []int{10, 50, 200} {
+			b.Run(fmt.Sprintf("%s/k=%d", h.name, k), func(b *testing.B) { run(b, h.t, k+1) })
+		}
+	}
 }
 
 func BenchmarkSortedMP(b *testing.B) {

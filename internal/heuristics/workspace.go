@@ -63,6 +63,8 @@ type Workspace struct {
 	kparent   []int32    // spanning-tree parent
 	kdeg      []int32    // spanning-tree degree
 	ktList    []int32    // Prim tree members (terminal indices, insertion order)
+	kkey      []int32    // Prim: candidate's closure distance to the tree
+	karg      []int32    // Prim: ktList position of the tree terminal at kkey
 	kclosure  [][2]int32 // closure MST edges (terminal indices)
 	kmbPacked []int64    // pruned tree edges, packed (a<<32 | b), sorted
 }

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,11 +24,11 @@ const cacheShards = 16
 // share one cache without collisions. Each shard evicts in FIFO order
 // once full, bounding memory under adversarial key streams.
 //
-// Every entry is tagged with the set of directed links its plan
-// traverses, so a fault delta can evict exactly the plans that touch
-// dead hardware (Invalidate) instead of nuking the whole cache; entries
-// for unaffected traffic — and their ~25x cached speedup — survive the
-// epoch change.
+// A fault delta evicts exactly the plans that traverse dead hardware
+// (Invalidate tests each entry's stored plan, route or CSR form, against
+// the killed links) instead of nuking the whole cache; entries for
+// unaffected traffic — and their ~25x cached speedup — survive the epoch
+// change.
 //
 // Cached plans are shared: callers must treat them as immutable.
 type PlanCache struct {
@@ -61,9 +62,7 @@ func (s CacheStats) HitRate() float64 {
 
 // cacheEntry is one cached plan in the representation its key encodes:
 // route form (plan) or dense CSR form (flat). Exactly one of plan/flat is
-// set. pairs is the sorted, deduplicated set of directed links the plan
-// traverses (see ChannelPair), the index targeted invalidation matches
-// fault deltas against.
+// set.
 type cacheEntry struct {
 	plan Plan
 	flat *FlatPlan
@@ -71,23 +70,46 @@ type cacheEntry struct {
 	// — e.g. the fault router's per-plan degraded accounting, so a cache
 	// hit reproduces the accounting of the original planning byte for
 	// byte.
-	aux   uint64
-	pairs []uint64
+	aux uint64
 }
 
 // touchesAny reports whether the entry's plan traverses any of the given
-// directed links (both inputs sorted ascending).
-func (e *cacheEntry) touchesAny(pairs []uint64) bool {
-	a, b := e.pairs, pairs
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+// directed links (ChannelPair values, sorted ascending). The links are
+// folded from the stored plan on demand, so caching a plan costs nothing
+// extra and both representations are matched alike.
+func (e *cacheEntry) touchesAny(killed []uint64) bool {
+	dead := func(from, to topology.NodeID) bool {
+		_, found := slices.BinarySearch(killed, ChannelPair(from, to))
+		return found
+	}
+	if f := e.flat; f != nil {
+		for p := 0; p < f.Paths(); p++ {
+			row := f.PathNodes[f.PathOff[p]:f.PathOff[p+1]]
+			for i := 1; i < len(row); i++ {
+				if dead(topology.NodeID(row[i-1]), topology.NodeID(row[i])) {
+					return true
+				}
+			}
+		}
+		for i := range f.TreeFrom {
+			if dead(topology.NodeID(f.TreeFrom[i]), topology.NodeID(f.TreeTo[i])) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, pr := range e.plan.Paths {
+		for i := 1; i < len(pr.Nodes); i++ {
+			if dead(pr.Nodes[i-1], pr.Nodes[i]) {
+				return true
+			}
+		}
+	}
+	for _, tr := range e.plan.Trees {
+		for _, ed := range tr.Edges {
+			if dead(ed.From, ed.To) {
+				return true
+			}
 		}
 	}
 	return false
@@ -145,61 +167,14 @@ func (c *PlanCache) Stats() CacheStats {
 	}
 }
 
-// ChannelPair encodes the directed link from -> to as the uint64 entries
-// of an entry's channel tag. Channel classes are deliberately folded
+// ChannelPair encodes the directed link from -> to as the uint64 key
+// Invalidate matches plans against. Channel classes are deliberately folded
 // away: a link fault kills every class of both directions and a node
 // fault every incident link, so matching on the directed link is exact
 // for them; for a single virtual-channel fault it over-invalidates the
 // other classes of that direction — conservative, never unsafe.
 func ChannelPair(from, to topology.NodeID) uint64 {
 	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// planPairs collects the sorted, deduplicated directed links of a plan.
-func planPairs(p Plan) []uint64 {
-	var pairs []uint64
-	for _, pr := range p.Paths {
-		for i := 1; i < len(pr.Nodes); i++ {
-			pairs = append(pairs, ChannelPair(pr.Nodes[i-1], pr.Nodes[i]))
-		}
-	}
-	for _, tr := range p.Trees {
-		for _, e := range tr.Edges {
-			pairs = append(pairs, ChannelPair(e.From, e.To))
-		}
-	}
-	return sortedUniq(pairs)
-}
-
-// flatPairs collects the sorted, deduplicated directed links of a dense
-// CSR plan.
-func flatPairs(f *FlatPlan) []uint64 {
-	var pairs []uint64
-	for p := 0; p < f.Paths(); p++ {
-		row := f.PathNodes[f.PathOff[p]:f.PathOff[p+1]]
-		for i := 1; i < len(row); i++ {
-			pairs = append(pairs, ChannelPair(topology.NodeID(row[i-1]), topology.NodeID(row[i])))
-		}
-	}
-	for i := range f.TreeFrom {
-		pairs = append(pairs, ChannelPair(topology.NodeID(f.TreeFrom[i]), topology.NodeID(f.TreeTo[i])))
-	}
-	return sortedUniq(pairs)
-}
-
-// sortedUniq sorts pairs ascending and removes duplicates in place.
-func sortedUniq(pairs []uint64) []uint64 {
-	if len(pairs) == 0 {
-		return nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
-	out := pairs[:1]
-	for _, p := range pairs[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Invalidate evicts every cached plan that traverses any of the given
@@ -212,7 +187,8 @@ func (c *PlanCache) Invalidate(pairs []uint64) int {
 	if len(pairs) == 0 {
 		return 0
 	}
-	sorted := sortedUniq(append([]uint64(nil), pairs...))
+	sorted := slices.Clone(pairs)
+	slices.Sort(sorted)
 	evicted := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -384,8 +360,7 @@ func (c *PlanCache) GetPlan(id string, k core.MulticastSet) (Plan, bool) {
 	return p, ok
 }
 
-// PutPlan caches a route-form plan under (id, k), tagging it with the
-// directed links it traverses for targeted invalidation.
+// PutPlan caches a route-form plan under (id, k).
 func (c *PlanCache) PutPlan(id string, k core.MulticastSet, p Plan) {
 	c.PutPlanAux(id, k, p, 0)
 }
@@ -405,7 +380,7 @@ func (c *PlanCache) GetPlanAux(id string, k core.MulticastSet) (Plan, uint64, bo
 // here, so a later cache hit reports the same stats the original
 // planning did.
 func (c *PlanCache) PutPlanAux(id string, k core.MulticastSet, p Plan, aux uint64) {
-	c.put(planKey(id, k, reprPlan), cacheEntry{plan: p, aux: aux, pairs: planPairs(p)})
+	c.put(planKey(id, k, reprPlan), cacheEntry{plan: p, aux: aux})
 }
 
 // cachedRouter memoizes PlanSet through a PlanCache.
@@ -421,7 +396,7 @@ func (r *cachedRouter) PlanSet(k core.MulticastSet) Plan {
 		return e.plan
 	}
 	p := r.Router.PlanSet(k)
-	r.cache.put(key, cacheEntry{plan: p, pairs: planPairs(p)})
+	r.cache.put(key, cacheEntry{plan: p})
 	return p
 }
 

@@ -237,6 +237,51 @@ func TestPlanCacheTargetedInvalidation(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidatesFlatEntries: a cache shared by route-form and
+// CSR-form consumers evicts the entries of both representations whose
+// plans — paths or trees — traverse a killed link, and keeps the rest.
+func TestPlanCacheInvalidatesFlatEntries(t *testing.T) {
+	c := NewPlanCache(256)
+	path, _, m := testRouter(t, "dual-path")
+	tree, _, _ := testRouter(t, "tree")
+	cp, fp, ft := Cached(path, c), Flat(path, c), Flat(tree, c)
+
+	near := core.MustMulticastSet(m, 0, []topology.NodeID{1}) // crosses 0->1
+	far := core.MustMulticastSet(m, 30, []topology.NodeID{35})
+	treeNear := core.MustMulticastSet(m, 0, []topology.NodeID{1, 2})
+	cp.PlanSet(near)
+	fp.FlatSet(near)
+	var buf []byte
+	_, buf = fp.FlatSetBuf(far, buf)
+	cp.PlanSet(far)
+	if f := ft.FlatSet(treeNear); f.Trees() == 0 {
+		t.Fatal("tree scheme planned no tree")
+	}
+	ft.FlatSet(far)
+	if c.Len() != 6 {
+		t.Fatalf("Len() = %d, want 6", c.Len())
+	}
+
+	if n := c.Invalidate([]uint64{ChannelPair(0, 1)}); n != 3 {
+		t.Fatalf("Invalidate evicted %d entries, want 3 (route, flat path, flat tree)", n)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len() after invalidation = %d, want 3", c.Len())
+	}
+	before := c.Stats()
+	fp.FlatSetBuf(far, buf)
+	cp.PlanSet(far)
+	ft.FlatSet(far)
+	if st := c.Stats(); st.Hits-before.Hits != 3 || st.Misses != before.Misses {
+		t.Fatalf("entries off the killed link did not survive: %+v -> %+v", before, st)
+	}
+	fp.FlatSet(near)
+	ft.FlatSet(treeNear)
+	if st := c.Stats(); st.Misses-before.Misses != 2 {
+		t.Fatalf("evicted flat entries still served: %d new misses, want 2", st.Misses-before.Misses)
+	}
+}
+
 // TestPlanCacheEvictionCounter: FIFO capacity evictions are counted and
 // the FIFO survives interleaved invalidations without double-frees.
 func TestPlanCacheEvictionCounter(t *testing.T) {
