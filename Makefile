@@ -21,10 +21,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: quick performance smoke — core throughput, figure pipeline, routing engine, heuristic kernels, static sweep scaling
+## bench: quick performance smoke — core throughput, figure pipeline, routing engine (cold, cached, and per path scheme with allocations), heuristic kernels, static sweep scaling
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkWormsimCyclesPerSec|BenchmarkDynamicFigures|BenchmarkSimulator' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkRoutingPlan' -benchtime 100x ./internal/routing
+	$(GO) test -run '^$$' -bench 'BenchmarkRoutingPlan' -benchmem -benchtime 100x ./internal/routing
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyST|BenchmarkKMB|BenchmarkSortedMP' -benchmem -benchtime 100x ./internal/heuristics
 	$(GO) test -run '^$$' -bench 'BenchmarkStaticTable' -benchmem -benchtime 1x ./internal/experiments
 

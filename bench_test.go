@@ -135,19 +135,19 @@ func BenchmarkFig511_XFirstExample(b *testing.B) {
 
 func BenchmarkFig613_PathRoutingExamples(b *testing.B) {
 	m := topology.NewMesh2D(6, 6)
-	l := labeling.NewMeshBoustrophedon(m)
+	tb := core.NewTables(m, labeling.NewMeshBoustrophedon(m))
 	k := core.MustMulticastSet(m, m.ID(3, 2), []topology.NodeID{
 		m.ID(0, 0), m.ID(0, 2), m.ID(0, 5), m.ID(1, 3), m.ID(4, 5),
 		m.ID(5, 0), m.ID(5, 1), m.ID(5, 3), m.ID(5, 4)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if dfr.DualPath(m, l, k).Traffic() != 33 {
+		if dfr.DualPathOn(tb, k).Traffic() != 33 {
 			b.Fatal("unexpected dual-path traffic")
 		}
-		if dfr.MultiPathMesh(m, l, k).Traffic() != 21 {
+		if dfr.MultiPathMeshOn(tb, m, k).Traffic() != 21 {
 			b.Fatal("unexpected multi-path traffic")
 		}
-		if dfr.FixedPath(m, l, k).Traffic() != 35 {
+		if dfr.FixedPathOn(tb, k).Traffic() != 35 {
 			b.Fatal("unexpected fixed-path traffic")
 		}
 	}
@@ -155,13 +155,13 @@ func BenchmarkFig613_PathRoutingExamples(b *testing.B) {
 
 func BenchmarkFig619_CubePathExamples(b *testing.B) {
 	h := topology.NewHypercube(4)
-	l := labeling.NewHypercubeGray(h)
+	tb := core.NewTables(h, labeling.NewHypercubeGray(h))
 	k := core.MustMulticastSet(h, 0b1100,
 		[]topology.NodeID{0b0100, 0b0011, 0b0111, 0b1000, 0b1111})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dfr.DualPath(h, l, k)
-		if dfr.MultiPathCube(h, l, k).Traffic() != 7 {
+		dfr.DualPathOn(tb, k)
+		if dfr.MultiPathCubeOn(tb, k).Traffic() != 7 {
 			b.Fatal("unexpected multi-path traffic")
 		}
 	}
@@ -335,14 +335,14 @@ func BenchmarkRouting_GreedyST(b *testing.B) {
 
 func BenchmarkRouting_DualPath(b *testing.B) {
 	m := topology.NewMesh2D(16, 16)
-	l := labeling.NewMeshBoustrophedon(m)
-	benchmarkRouting(b, func(k core.MulticastSet) int { return dfr.DualPath(m, l, k).Traffic() })
+	tb := core.NewTables(m, labeling.NewMeshBoustrophedon(m))
+	benchmarkRouting(b, func(k core.MulticastSet) int { return dfr.DualPathOn(tb, k).Traffic() })
 }
 
 func BenchmarkRouting_MultiPath(b *testing.B) {
 	m := topology.NewMesh2D(16, 16)
-	l := labeling.NewMeshBoustrophedon(m)
-	benchmarkRouting(b, func(k core.MulticastSet) int { return dfr.MultiPathMesh(m, l, k).Traffic() })
+	tb := core.NewTables(m, labeling.NewMeshBoustrophedon(m))
+	benchmarkRouting(b, func(k core.MulticastSet) int { return dfr.MultiPathMeshOn(tb, m, k).Traffic() })
 }
 
 // BenchmarkSimulator measures raw simulator throughput: cycles per second

@@ -96,9 +96,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tb := core.NewTables(mesh, l)
 	safePath := wormsim.NewNetwork(mesh)
-	safePath.InjectMulticast(dfr.DualPath(mesh, l, m0).Paths, nil, messageFlits)
-	safePath.InjectMulticast(dfr.DualPath(mesh, l, m1).Paths, nil, messageFlits)
+	safePath.InjectMulticast(dfr.DualPathOn(tb, m0).Paths, nil, messageFlits)
+	safePath.InjectMulticast(dfr.DualPathOn(tb, m1).Paths, nil, messageFlits)
 	if !drains(safePath) {
 		log.Fatal("dual-path should not deadlock")
 	}

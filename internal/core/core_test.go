@@ -52,12 +52,13 @@ func TestRoutingFunctionShortestPathsCube(t *testing.T) {
 
 func checkRoutingShortest(t *testing.T, topo topology.Topology, l labeling.Labeling) {
 	t.Helper()
+	tb := NewTables(topo, l)
 	for u := topology.NodeID(0); int(u) < topo.Nodes(); u++ {
 		for v := topology.NodeID(0); int(v) < topo.Nodes(); v++ {
 			if u == v {
 				continue
 			}
-			path := RoutePath(topo, l, u, v)
+			path := tb.RoutePath(u, v)
 			if len(path)-1 != topo.Distance(u, v) {
 				t.Fatalf("%s: R path %d->%d has %d hops, distance %d",
 					topo.Name(), u, v, len(path)-1, topo.Distance(u, v))
@@ -93,7 +94,7 @@ func TestPoorHamiltonPathNotShortest(t *testing.T) {
 		t.Fatalf("comb labeling invalid: %v", err)
 	}
 	u, v := m.ID(0, 3), m.ID(0, 0)
-	path := RoutePath(m, l, u, v)
+	path := NewTables(m, l).RoutePath(u, v)
 	if len(path)-1 != 5 {
 		t.Errorf("comb-labeling path (0,3)->(0,0) has %d hops, want the 5-hop detour", len(path)-1)
 	}
@@ -342,5 +343,5 @@ func TestNextHopPanicsOnSelf(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NextHop(m, l, 4, 4)
+	NewTables(m, l).NextHop(4, 4)
 }

@@ -7,9 +7,73 @@ import (
 	"multicastnet/internal/topology"
 )
 
+// Tables is the dense form the routing function R runs over: the
+// Hamiltonian labeling as a label table and its inverse, plus one
+// adjacency row per node. Every label-monotone path scheme plans over
+// it, so a route walk reads labels and neighbors by index instead of
+// through the Topology and Labeling interfaces. The topology is kept
+// only for Distance, which still decides "distance-reducing".
+//
+// Tables implements labeling.Labeling. It is immutable once built,
+// except for adjacency rows handed in through WithAdjacency, which
+// their owner may patch between planning rounds.
+type Tables struct {
+	topo   topology.Topology
+	labels []int32
+	at     []topology.NodeID
+	adj    [][]topology.NodeID
+}
+
+// NewTables flattens l over t: one pass of Label calls and one of
+// Neighbors calls, with every adjacency row carved from one backing
+// array.
+func NewTables(t topology.Topology, l labeling.Labeling) *Tables {
+	n := t.Nodes()
+	tb := &Tables{
+		topo:   t,
+		labels: make([]int32, n),
+		at:     make([]topology.NodeID, n),
+		adj:    make([][]topology.NodeID, n),
+	}
+	for v := 0; v < n; v++ {
+		lab := l.Label(topology.NodeID(v))
+		tb.labels[v] = int32(lab)
+		tb.at[lab] = topology.NodeID(v)
+	}
+	flat := make([]topology.NodeID, 0, n*t.MaxDegree())
+	for v := 0; v < n; v++ {
+		start := len(flat)
+		flat = t.Neighbors(topology.NodeID(v), flat)
+		tb.adj[v] = flat[start:len(flat):len(flat)]
+	}
+	return tb
+}
+
+// WithAdjacency returns tables that share tb's label tables but route
+// over t with the given adjacency rows. The caller keeps adj and may
+// replace its rows between planning rounds (a live fault view patching
+// exactly the rows a delta changed); plans read the rows as they stand.
+func (tb *Tables) WithAdjacency(t topology.Topology, adj [][]topology.NodeID) *Tables {
+	return &Tables{topo: t, labels: tb.labels, at: tb.at, adj: adj}
+}
+
+// Topology returns the topology the tables route over.
+func (tb *Tables) Topology() topology.Topology { return tb.topo }
+
+// N implements labeling.Labeling.
+func (tb *Tables) N() int { return len(tb.labels) }
+
+// Label implements labeling.Labeling.
+func (tb *Tables) Label(v topology.NodeID) int { return int(tb.labels[v]) }
+
+// At implements labeling.Labeling.
+func (tb *Tables) At(label int) topology.NodeID { return tb.at[label] }
+
+// Neighbors returns the adjacency row of v. Callers must not modify it.
+func (tb *Tables) Neighbors(v topology.NodeID) []topology.NodeID { return tb.adj[v] }
+
 // NextHop is the partial-order-preserving routing function R of
-// Sections 6.2.2 and 6.3, defined over a Hamiltonian labeling l. The
-// dissertation states R as
+// Sections 6.2.2 and 6.3. The dissertation states R as
 //
 //	R(u, v) = w, a neighbor of u, with
 //	  l(w) = max{ l(p) : l(p) <= l(v), p neighbor of u }  if l(u) < l(v)
@@ -28,85 +92,63 @@ import (
 // labelings other than the paper's, e.g. the "poor" Hamilton path of
 // Fig. 6.10). Either way the chosen label moves strictly toward l(v) —
 // the Hamilton-path successor/predecessor of u is always in the window —
-// so routes stay inside one acyclic channel subnetwork.
-func NextHop(t topology.Topology, l labeling.Labeling, u, v topology.NodeID) topology.NodeID {
-	var buf [32]topology.NodeID
-	return nextHopInto(t, l, u, v, buf[:0])
-}
-
-// nextHopInto is NextHop over a caller-provided neighbor buffer. The
-// buffer crosses the Topology interface, so it always escapes; callers
-// that walk whole routes (AppendRoute) hoist one buffer across the walk
-// instead of paying one heap allocation per hop.
-func nextHopInto(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, buf []topology.NodeID) topology.NodeID {
+// so routes stay inside one acyclic channel subnetwork. Labels are
+// distinct, so the choice never depends on neighbor order.
+func (tb *Tables) NextHop(u, v topology.NodeID) topology.NodeID {
 	if u == v {
 		panic("core: NextHop with u == v")
 	}
-	lu, lv := l.Label(u), l.Label(v)
-	du := t.Distance(u, v)
-	var (
-		best      topology.NodeID
-		bestLabel int
-		found     bool
-	)
-	neighbors := t.Neighbors(u, buf)
-	better := func(lp int) bool {
-		if !found {
-			return true
-		}
-		if lu < lv {
-			return lp > bestLabel
-		}
-		return lp < bestLabel
-	}
-	// Preferred: distance-reducing neighbors strictly inside the label
-	// window (the Lemma 6.1/6.4 construction).
-	for _, p := range neighbors {
-		lp := l.Label(p)
-		inWindow := (lu < lv && lp > lu && lp <= lv) || (lu > lv && lp < lu && lp >= lv)
-		if inWindow && t.Distance(p, v) == du-1 && better(lp) {
-			best, bestLabel, found = p, lp, true
-		}
-	}
-	if found {
-		return best
-	}
-	return nextHopLiteralInto(t, l, u, v, buf)
+	w, _ := tb.hop(u, v, tb.topo.Distance(u, v))
+	return w
 }
 
-// NextHopLiteral is the routing function R exactly as the dissertation's
+// hop is R from u toward v given du = d(u, v). reduced reports that w is
+// distance-reducing, so d(w, v) = du-1 without another Distance call.
+func (tb *Tables) hop(u, v topology.NodeID, du int) (w topology.NodeID, reduced bool) {
+	lu, lv := tb.labels[u], tb.labels[v]
+	best, bestLabel := topology.NodeID(-1), int32(0)
+	// Preferred: distance-reducing neighbors strictly inside the label
+	// window (the Lemma 6.1/6.4 construction).
+	if lu < lv {
+		for _, p := range tb.adj[u] {
+			if lp := tb.labels[p]; lp > lu && lp <= lv && (best < 0 || lp > bestLabel) &&
+				tb.topo.Distance(p, v) == du-1 {
+				best, bestLabel = p, lp
+			}
+		}
+	} else {
+		for _, p := range tb.adj[u] {
+			if lp := tb.labels[p]; lp < lu && lp >= lv && (best < 0 || lp < bestLabel) &&
+				tb.topo.Distance(p, v) == du-1 {
+				best, bestLabel = p, lp
+			}
+		}
+	}
+	if best >= 0 {
+		return best, true
+	}
+	return tb.nextHopLiteral(u, v), false
+}
+
+// nextHopLiteral is the routing function R exactly as the dissertation's
 // text states it: the max-label neighbor not exceeding l(v) (when routing
 // up), or the min-label neighbor not below l(v) (when routing down), over
 // all neighbors of u. It is always label-monotone — the Hamilton-path
 // successor/predecessor qualifies — but not always minimal.
-func NextHopLiteral(t topology.Topology, l labeling.Labeling, u, v topology.NodeID) topology.NodeID {
-	var buf [32]topology.NodeID
-	return nextHopLiteralInto(t, l, u, v, buf[:0])
-}
-
-func nextHopLiteralInto(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, buf []topology.NodeID) topology.NodeID {
-	if u == v {
-		panic("core: NextHopLiteral with u == v")
-	}
-	lu, lv := l.Label(u), l.Label(v)
-	var (
-		best      topology.NodeID
-		bestLabel int
-		found     bool
-	)
-	for _, p := range t.Neighbors(u, buf) {
-		lp := l.Label(p)
+func (tb *Tables) nextHopLiteral(u, v topology.NodeID) topology.NodeID {
+	lu, lv := tb.labels[u], tb.labels[v]
+	best, bestLabel := topology.NodeID(-1), int32(0)
+	for _, p := range tb.adj[u] {
+		lp := tb.labels[p]
 		if lu < lv {
-			if lp <= lv && (!found || lp > bestLabel) {
-				best, bestLabel, found = p, lp, true
+			if lp <= lv && (best < 0 || lp > bestLabel) {
+				best, bestLabel = p, lp
 			}
-		} else {
-			if lp >= lv && (!found || lp < bestLabel) {
-				best, bestLabel, found = p, lp, true
-			}
+		} else if lp >= lv && (best < 0 || lp < bestLabel) {
+			best, bestLabel = p, lp
 		}
 	}
-	if !found {
+	if best < 0 {
 		// Cannot happen for a valid Hamiltonian labeling; fail loudly
 		// instead of looping forever.
 		panic(fmt.Sprintf("core: routing function R stuck at node %d toward %d", u, v))
@@ -117,23 +159,29 @@ func nextHopLiteralInto(t topology.Topology, l labeling.Labeling, u, v topology.
 // RoutePath returns the node sequence (u, ..., v) selected by repeatedly
 // applying the routing function R. By Lemmas 6.1 and 6.4 the labels along
 // the sequence are strictly monotone, so the walk terminates.
-func RoutePath(t topology.Topology, l labeling.Labeling, u, v topology.NodeID) []topology.NodeID {
-	return AppendRoute(t, l, u, v, []topology.NodeID{u})
+func (tb *Tables) RoutePath(u, v topology.NodeID) []topology.NodeID {
+	dst := make([]topology.NodeID, 1, tb.topo.Distance(u, v)+1)
+	dst[0] = u
+	return tb.AppendRoute(dst, u, v)
 }
 
-// AppendRoute appends the nodes strictly after u on the route from u to v
-// selected by R, and returns the extended slice — RoutePath for callers
-// that stitch multi-destination paths (the dual-path and multi-path
-// preparation) without a heap-allocated leg per destination. One neighbor
-// buffer serves the whole walk, so a leg costs one allocation instead of
-// one per hop.
-func AppendRoute(t topology.Topology, l labeling.Labeling, u, v topology.NodeID, dst []topology.NodeID) []topology.NodeID {
-	var buf [32]topology.NodeID
+// AppendRoute appends the nodes strictly after u on the route from u to
+// v selected by R, and returns the extended slice — the leg primitive the
+// path schemes stitch multi-destination paths from, into one slice sized
+// up front.
+func (tb *Tables) AppendRoute(dst []topology.NodeID, u, v topology.NodeID) []topology.NodeID {
+	du := tb.topo.Distance(u, v)
 	guard := 0
 	for u != v {
-		u = nextHopInto(t, l, u, v, buf[:0])
+		w, reduced := tb.hop(u, v, du)
+		if reduced {
+			du--
+		} else {
+			du = tb.topo.Distance(w, v)
+		}
+		u = w
 		dst = append(dst, u)
-		if guard++; guard > t.Nodes()+1 {
+		if guard++; guard > len(tb.labels)+1 {
 			panic("core: routing function R failed to converge")
 		}
 	}

@@ -40,12 +40,12 @@ func IdleOracle() ChannelOracle { return neverBusy{} }
 // window it prefers one whose outgoing channel is currently free,
 // breaking ties toward the greatest (ascending) or least (descending)
 // label exactly as R does. With an idle oracle it returns R's choice.
-func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.NodeID,
-	class int, oracle ChannelOracle) topology.NodeID {
+func AdaptiveNextHop(tb *core.Tables, u, v topology.NodeID, class int, oracle ChannelOracle) topology.NodeID {
 	if u == v {
 		panic("dfr: AdaptiveNextHop with u == v")
 	}
-	lu, lv := l.Label(u), l.Label(v)
+	t := tb.Topology()
+	lu, lv := tb.Label(u), tb.Label(v)
 	du := t.Distance(u, v)
 	var (
 		bestFree, bestAny           topology.NodeID
@@ -61,9 +61,8 @@ func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.Nod
 		}
 		return lp < cur
 	}
-	var buf [32]topology.NodeID
-	for _, p := range t.Neighbors(u, buf[:0]) {
-		lp := l.Label(p)
+	for _, p := range tb.Neighbors(u) {
+		lp := tb.Label(p)
 		inWindow := (lu < lv && lp > lu && lp <= lv) || (lu > lv && lp < lu && lp >= lv)
 		if !inWindow || t.Distance(p, v) != du-1 {
 			continue
@@ -83,50 +82,38 @@ func AdaptiveNextHop(t topology.Topology, l labeling.Labeling, u, v topology.Nod
 	}
 	// No distance-reducing neighbor in the window (possible only for
 	// labelings other than the canonical ones): fall back to R.
-	return core.NextHop(t, l, u, v)
+	return tb.NextHop(u, v)
 }
 
-// adaptiveRouteThrough extends a path through every destination in order
-// using AdaptiveNextHop.
-func adaptiveRouteThrough(t topology.Topology, l labeling.Labeling, start topology.NodeID,
-	dests []topology.NodeID, class int, oracle ChannelOracle) []topology.NodeID {
-	nodes := []topology.NodeID{start}
-	cur := start
-	for _, d := range dests {
-		guard := 0
-		for cur != d {
-			next := AdaptiveNextHop(t, l, cur, d, class, oracle)
-			nodes = append(nodes, next)
-			cur = next
-			if guard++; guard > t.Nodes()+1 {
-				panic("dfr: adaptive routing failed to converge")
-			}
+// appendAdaptive appends the nodes strictly after u on the
+// AdaptiveNextHop walk from u to v — the adaptive counterpart of
+// Tables.AppendRoute.
+func appendAdaptive(tb *core.Tables, dst []topology.NodeID, u, v topology.NodeID,
+	class int, oracle ChannelOracle) []topology.NodeID {
+	guard := 0
+	for u != v {
+		u = AdaptiveNextHop(tb, u, v, class, oracle)
+		dst = append(dst, u)
+		if guard++; guard > tb.N()+1 {
+			panic("dfr: adaptive routing failed to converge")
 		}
 	}
-	return nodes
+	return dst
 }
 
-// AdaptiveDualPath is dual-path routing with congestion-adaptive hop
+// AdaptiveDualPathOn is dual-path routing with congestion-adaptive hop
 // selection: the same high/low destination partition and visiting order
 // as Fig. 6.11, but each hop avoids currently-busy channels when a free
 // distance-reducing in-window alternative exists. Paths remain label-
 // monotone, so the scheme is deadlock-free for exactly the Assertion 2
-// reason; with an idle oracle it produces DualPath's routes.
+// reason; with an idle oracle it produces DualPathOn's routes.
+func AdaptiveDualPathOn(tb *core.Tables, k core.MulticastSet, oracle ChannelOracle) Star {
+	return dualPath(tb, k, oracle)
+}
+
+// AdaptiveDualPath is AdaptiveDualPathOn over tables built from (t, l)
+// for this one multicast.
 func AdaptiveDualPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet,
 	oracle ChannelOracle) Star {
-	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	if len(dh) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: adaptiveRouteThrough(t, l, k.Source, dh, 0, oracle),
-			Dests: dh,
-		})
-	}
-	if len(dl) > 0 {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: adaptiveRouteThrough(t, l, k.Source, dl, 0, oracle),
-			Dests: dl,
-		})
-	}
-	return s
+	return AdaptiveDualPathOn(core.NewTables(t, l), k, oracle)
 }

@@ -3,6 +3,7 @@ package dfr
 import (
 	"testing"
 
+	"multicastnet/internal/core"
 	"multicastnet/internal/labeling"
 	"multicastnet/internal/stats"
 	"multicastnet/internal/topology"
@@ -107,22 +108,22 @@ func TestAdaptiveDualPathUnderCongestion(t *testing.T) {
 // than leaving the window).
 func TestAdaptiveNextHopAvoidsBusy(t *testing.T) {
 	h := topology.NewHypercube(4)
-	lh := labeling.NewHypercubeGray(h)
+	tb := core.NewTables(h, labeling.NewHypercubeGray(h))
 	src, dst := topology.NodeID(0b1100), topology.NodeID(0b1011)
 
-	det := AdaptiveNextHop(h, lh, src, dst, 0, IdleOracle())
+	det := AdaptiveNextHop(tb, src, dst, 0, IdleOracle())
 	if det != 0b1110 {
 		t.Fatalf("deterministic hop = %04b, expected 1110", det)
 	}
 	oracle := &fixedOracle{busy: map[Channel]bool{{From: src, To: 0b1110}: true}}
-	if got := AdaptiveNextHop(h, lh, src, dst, 0, oracle); got != 0b1101 {
+	if got := AdaptiveNextHop(tb, src, dst, 0, oracle); got != 0b1101 {
 		t.Errorf("adaptive hop = %04b, want 1101 (the free in-window alternative)", got)
 	}
 	allBusy := &fixedOracle{busy: map[Channel]bool{
 		{From: src, To: 0b1110}: true,
 		{From: src, To: 0b1101}: true,
 	}}
-	if got := AdaptiveNextHop(h, lh, src, dst, 0, allBusy); got != det {
+	if got := AdaptiveNextHop(tb, src, dst, 0, allBusy); got != det {
 		t.Errorf("all-busy hop = %04b, want R's %04b", got, det)
 	}
 }

@@ -114,12 +114,13 @@ func (r *DependencyRecorder) FindCycle() []Channel {
 // Hamiltonian labeling; the tests verify this exhaustively.
 func UnicastCDG(t topology.Topology, l labeling.Labeling) *DependencyRecorder {
 	r := NewDependencyRecorder()
+	tb := core.NewTables(t, l)
 	for u := topology.NodeID(0); int(u) < t.Nodes(); u++ {
 		for v := topology.NodeID(0); int(v) < t.Nodes(); v++ {
 			if u == v {
 				continue
 			}
-			r.AddPath(PathRoute{Nodes: core.RoutePath(t, l, u, v)})
+			r.AddPath(PathRoute{Nodes: tb.RoutePath(u, v)})
 		}
 	}
 	return r

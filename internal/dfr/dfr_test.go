@@ -26,7 +26,7 @@ func TestFig613DualPathExample(t *testing.T) {
 	m := topology.NewMesh2D(6, 6)
 	l := labeling.NewMeshBoustrophedon(m)
 	k := fig613Set(m)
-	dh, dl := HighLowPartition(l, k)
+	dh, dl := HighLowPartition(core.NewTables(m, l), k)
 	id := func(x, y int) topology.NodeID { return m.ID(x, y) }
 	wantH := []topology.NodeID{id(5, 3), id(1, 3), id(5, 4), id(4, 5), id(0, 5)}
 	wantL := []topology.NodeID{id(0, 2), id(5, 1), id(5, 0), id(0, 0)}
@@ -138,7 +138,7 @@ func TestFig619DualPathCube(t *testing.T) {
 	l := labeling.NewHypercubeGray(h)
 	k := core.MustMulticastSet(h, 0b1100,
 		[]topology.NodeID{0b0100, 0b0011, 0b0111, 0b1000, 0b1111})
-	dh, dl := HighLowPartition(l, k)
+	dh, dl := HighLowPartition(core.NewTables(h, l), k)
 	wantH := []topology.NodeID{0b1111, 0b1000}
 	wantL := []topology.NodeID{0b0100, 0b0111, 0b0011}
 	for i, v := range wantH {

@@ -6,7 +6,7 @@ import (
 	"multicastnet/internal/topology"
 )
 
-// VirtualChannelPath implements the Section 8.2 extension the
+// VirtualChannelPathOn implements the Section 8.2 extension the
 // dissertation leaves as future work: "the network may be partitioned
 // into many sub-networks [using virtual channels]. The set of destination
 // nodes then may be distributed to different sub-networks to support
@@ -27,39 +27,33 @@ import (
 // low paths, so all 2v subnetworks are disjoint even on topologies where
 // a physical link could carry both a high and a low path of different
 // source pairs.
-func VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet, v int) Star {
+func VirtualChannelPathOn(tb *core.Tables, k core.MulticastSet, v int) Star {
 	if v < 1 {
 		panic("dfr: virtual channel count must be at least 1")
 	}
-	dh, dl := HighLowPartition(l, k)
-	s := Star{Source: k.Source}
-	for copyIdx, block := range splitBlocks(dh, v) {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, block),
-			Dests: block,
-			Class: 2 * copyIdx,
-		})
-	}
-	for copyIdx, block := range splitBlocks(dl, v) {
-		s.Paths = append(s.Paths, PathRoute{
-			Nodes: routeThrough(t, l, k.Source, block),
-			Dests: block,
-			Class: 2*copyIdx + 1,
-		})
-	}
-	return s
+	dh, dl := HighLowPartition(tb, k)
+	var specBuf [16]pathSpec
+	specs := appendBlocks(specBuf[:0], k.Source, dh, v, 0)
+	specs = appendBlocks(specs, k.Source, dl, v, 1)
+	return Star{Source: k.Source, Paths: routePaths(tb, k.Source, specs, nil)}
 }
 
-// splitBlocks divides an ordered destination list into at most v
-// contiguous, non-empty, nearly equal blocks.
-func splitBlocks(dests []topology.NodeID, v int) [][]topology.NodeID {
+// VirtualChannelPath is VirtualChannelPathOn over tables built from
+// (t, l) for this one multicast.
+func VirtualChannelPath(t topology.Topology, l labeling.Labeling, k core.MulticastSet, v int) Star {
+	return VirtualChannelPathOn(core.NewTables(t, l), k, v)
+}
+
+// appendBlocks divides an ordered destination list into at most v
+// contiguous, non-empty, nearly equal blocks and appends one spec per
+// block, block i on channel class 2*i+parity.
+func appendBlocks(specs []pathSpec, src topology.NodeID, dests []topology.NodeID, v, parity int) []pathSpec {
 	if len(dests) == 0 {
-		return nil
+		return specs
 	}
 	if v > len(dests) {
 		v = len(dests)
 	}
-	out := make([][]topology.NodeID, 0, v)
 	base := len(dests) / v
 	extra := len(dests) % v
 	start := 0
@@ -68,8 +62,9 @@ func splitBlocks(dests []topology.NodeID, v int) [][]topology.NodeID {
 		if i < extra {
 			size++
 		}
-		out = append(out, dests[start:start+size])
-		start += size
+		end := start + size
+		specs = append(specs, pathSpec{via: src, dests: dests[start:end:end], class: 2*i + parity})
+		start = end
 	}
-	return out
+	return specs
 }

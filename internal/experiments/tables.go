@@ -172,13 +172,13 @@ func ExampleRoutes(w io.Writer, workers int) error {
 		func() (string, error) {
 			// Figs. 6.13/6.16/6.17: the path schemes on the 6x6 example.
 			m66 := topology.NewMesh2D(6, 6)
-			l66 := labeling.NewMeshBoustrophedon(m66)
+			tb66 := core.NewTables(m66, labeling.NewMeshBoustrophedon(m66))
 			k6 := core.MustMulticastSet(m66, m66.ID(3, 2), []topology.NodeID{
 				m66.ID(0, 0), m66.ID(0, 2), m66.ID(0, 5), m66.ID(1, 3), m66.ID(4, 5),
 				m66.ID(5, 0), m66.ID(5, 1), m66.ID(5, 3), m66.ID(5, 4)})
-			dual := dfr.DualPath(m66, l66, k6)
-			multi := dfr.MultiPathMesh(m66, l66, k6)
-			fixed := dfr.FixedPath(m66, l66, k6)
+			dual := dfr.DualPathOn(tb66, k6)
+			multi := dfr.MultiPathMeshOn(tb66, m66, k6)
+			fixed := dfr.FixedPathOn(tb66, k6)
 			return fmt.Sprintf("Fig 6.13 dual-path, 6x6 mesh: traffic %d, max distance %d\n", dual.Traffic(), dual.MaxDistance()) +
 				fmt.Sprintf("Fig 6.16 multi-path, 6x6 mesh: traffic %d, max distance %d\n", multi.Traffic(), multi.MaxDistance()) +
 				fmt.Sprintf("Fig 6.17 fixed-path, 6x6 mesh: traffic %d, max distance %d\n", fixed.Traffic(), fixed.MaxDistance()), nil
@@ -186,11 +186,11 @@ func ExampleRoutes(w io.Writer, workers int) error {
 		func() (string, error) {
 			// Figs. 6.19/6.21: dual- and multi-path on the 4-cube.
 			h4 := topology.NewHypercube(4)
-			lh4 := labeling.NewHypercubeGray(h4)
+			tbh4 := core.NewTables(h4, labeling.NewHypercubeGray(h4))
 			k619 := core.MustMulticastSet(h4, 0b1100,
 				[]topology.NodeID{0b0100, 0b0011, 0b0111, 0b1000, 0b1111})
-			d619 := dfr.DualPath(h4, lh4, k619)
-			m621 := dfr.MultiPathCube(h4, lh4, k619)
+			d619 := dfr.DualPathOn(tbh4, k619)
+			m621 := dfr.MultiPathCubeOn(tbh4, k619)
 			return fmt.Sprintf("Fig 6.19 dual-path, 4-cube, src 1100: traffic %d, max distance %d\n", d619.Traffic(), d619.MaxDistance()) +
 				fmt.Sprintf("Fig 6.21 multi-path, 4-cube, src 1100: traffic %d, max distance %d\n", m621.Traffic(), m621.MaxDistance()), nil
 		},
@@ -224,7 +224,7 @@ func DeadlockDemos(w io.Writer, workers int) error {
 			// single channels); the double-channel tree scheme runs on its own
 			// network, so it gets its own dependency graph.
 			m := topology.NewMesh2D(4, 3)
-			l := labeling.NewMeshBoustrophedon(m)
+			tb := core.NewTables(m, labeling.NewMeshBoustrophedon(m))
 			pathRec := dfr.NewDependencyRecorder()
 			treeRec := dfr.NewDependencyRecorder()
 			var sets []core.MulticastSet
@@ -239,9 +239,9 @@ func DeadlockDemos(w io.Writer, workers int) error {
 				sets = append(sets, core.MustMulticastSet(m, src, dests))
 			}
 			for _, k := range sets {
-				pathRec.AddStar(dfr.DualPath(m, l, k))
-				pathRec.AddStar(dfr.MultiPathMesh(m, l, k))
-				pathRec.AddStar(dfr.FixedPath(m, l, k))
+				pathRec.AddStar(dfr.DualPathOn(tb, k))
+				pathRec.AddStar(dfr.MultiPathMeshOn(tb, m, k))
+				pathRec.AddStar(dfr.FixedPathOn(tb, k))
 				for _, tr := range dfr.DoubleChannelXFirst(m, k) {
 					treeRec.AddTree(tr)
 				}

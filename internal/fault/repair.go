@@ -82,7 +82,7 @@ func (b *pathBuilder) extend(r *Router, leg []topology.NodeID) bool {
 // of k (all assumed reachable over the masked graph), starting class
 // assignment at base.
 func (r *Router) repairPaths(k core.MulticastSet, base int) []dfr.PathRoute {
-	dh, dl := dfr.HighLowPartition(r.healthy.Labeling(), k)
+	dh, dl := dfr.HighLowPartition(r.healthy.Tables(), k)
 	var out []dfr.PathRoute
 	for _, group := range [2][]topology.NodeID{dh, dl} {
 		if len(group) > 0 {

@@ -384,9 +384,9 @@ func (r *Router) treeAlive(tr dfr.TreeRoute) bool {
 }
 
 // attemptPlan runs a routing attempt, absorbing panics: the healthy
-// routing kernels fail loudly when a masked graph strands them
-// (core.NextHopLiteral "stuck", core.RoutePath non-convergence), which
-// the degraded router treats as "this scheme cannot serve this mask".
+// routing kernels fail loudly when a masked graph strands them (R
+// "stuck" or not converging in core.Tables.AppendRoute), which the
+// degraded router treats as "this scheme cannot serve this mask".
 func attemptPlan(rt routing.Router, k core.MulticastSet) (plan routing.Plan, ok bool) {
 	defer func() {
 		if recover() != nil {

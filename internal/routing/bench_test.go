@@ -67,6 +67,44 @@ func BenchmarkRoutingPlanCached(b *testing.B) {
 	_ = total
 }
 
+// BenchmarkRoutingPlanSchemes measures cold plan construction per path
+// scheme with allocations: dual-path on the 8x8 mesh at the Fig. 7.11
+// load point (destination counts uniform on [1, 19], mean 10), and
+// multi-path on the 12-cube (the uniform-cube12 workload's scheme).
+func BenchmarkRoutingPlanSchemes(b *testing.B) {
+	cases := []struct {
+		name, scheme string
+		topo         topology.Topology
+	}{
+		{"dual-path/mesh8x8", "dual-path", topology.NewMesh2D(8, 8)},
+		{"multi-path/cube12", "multi-path", topology.NewHypercube(12)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := NewState(c.topo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := New(c.scheme, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRand(711)
+			sets := make([]core.MulticastSet, 256)
+			for i := range sets {
+				sets[i] = randomSet(c.topo, rng, 1+rng.Intn(19))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				total += len(r.PlanSet(sets[i%len(sets)]).Paths)
+			}
+			_ = total
+		})
+	}
+}
+
 // TestWriteRoutingBenchBaseline regenerates the committed
 // BENCH_routing.json when run with -update-routing-bench (see the
 // Makefile's bench-routing-baseline target). Without the flag it only

@@ -3,7 +3,6 @@ package routing
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -71,6 +70,9 @@ type cacheEntry struct {
 	// hit reproduces the accounting of the original planning byte for
 	// byte.
 	aux uint64
+	// seq is the shard insertion sequence number the entry was put
+	// under; it matches exactly one FIFO slot, the entry's own.
+	seq uint64
 }
 
 // touchesAny reports whether the entry's plan traverses any of the given
@@ -118,7 +120,42 @@ func (e *cacheEntry) touchesAny(killed []uint64) bool {
 type cacheShard struct {
 	mu    sync.Mutex
 	plans map[string]cacheEntry
-	fifo  []string // insertion order, for eviction
+	// fifo is the insertion order, for eviction. Invalidate deletes
+	// entries without rewriting it, so a slot is live only while its seq
+	// matches the entry under its key: a key invalidated and put again
+	// leaves a stale first slot that must not evict the fresh entry.
+	fifo []fifoSlot
+	seq  uint64 // last insertion sequence number handed out
+}
+
+// fifoSlot is one FIFO position: a key and the sequence number of the
+// insertion that created it.
+type fifoSlot struct {
+	key string
+	seq uint64
+}
+
+// live reports whether slot is the FIFO position of its key's current
+// entry.
+func (s *cacheShard) live(slot fifoSlot) bool {
+	e, ok := s.plans[slot.key]
+	return ok && e.seq == slot.seq
+}
+
+// compact drops stale FIFO slots once they outnumber live ones, so
+// invalidation churn cannot grow the FIFO without bound.
+func (s *cacheShard) compact() {
+	if len(s.fifo) <= 2*len(s.plans) {
+		return
+	}
+	kept := s.fifo[:0]
+	for _, slot := range s.fifo {
+		if s.live(slot) {
+			kept = append(kept, slot)
+		}
+	}
+	clear(s.fifo[len(kept):])
+	s.fifo = kept
 }
 
 // Plan representation tags, appended to every cache key so a cache
@@ -199,6 +236,7 @@ func (c *PlanCache) Invalidate(pairs []uint64) int {
 				evicted++
 			}
 		}
+		s.compact()
 		s.mu.Unlock()
 	}
 	c.invalidations.Add(uint64(evicted))
@@ -214,7 +252,7 @@ func (c *PlanCache) InvalidateAll() int {
 		s.mu.Lock()
 		evicted += len(s.plans)
 		s.plans = make(map[string]cacheEntry)
-		s.fifo = s.fifo[:0]
+		s.fifo = nil
 		s.mu.Unlock()
 	}
 	c.invalidations.Add(uint64(evicted))
@@ -291,44 +329,39 @@ func (c *PlanCache) put(key string, e cacheEntry) {
 	for len(s.plans) >= c.perShard {
 		oldest := s.fifo[0]
 		s.fifo = s.fifo[1:]
-		// Invalidation removes entries without rewriting the FIFO; skip
-		// keys it already evicted.
-		if _, live := s.plans[oldest]; live {
-			delete(s.plans, oldest)
+		if s.live(oldest) {
+			delete(s.plans, oldest.key)
 			c.evictions.Add(1)
 		}
 	}
+	s.seq++
+	e.seq = s.seq
 	s.plans[key] = e
-	s.fifo = append(s.fifo, key)
+	s.fifo = append(s.fifo, fifoSlot{key: key, seq: s.seq})
 }
 
 // planKey canonicalizes a multicast set into a cache key: the plan
 // representation tag, the router identity, the source, and the
-// destinations in sorted order, all varint-encoded. Destination order
-// never changes a scheme's routes (every scheme re-sorts by label), so
-// sets that differ only in listing order share one entry. The
-// representation tag keeps route-form and CSR entries for the same
-// (router, set) distinct.
+// destinations in sorted order, all varint-encoded (appendPlanKeySorted).
+// Destination order never changes a scheme's routes (every scheme
+// re-sorts by label), so sets that differ only in listing order share one
+// entry. The representation tag keeps route-form and CSR entries for the
+// same (router, set) distinct. Sorted destinations are encoded in place;
+// unsorted ones through a sorted copy.
 func planKey(id string, k core.MulticastSet, repr byte) string {
-	buf := make([]byte, 0, len(id)+2+(len(k.Dests)+1)*3)
-	buf = append(buf, repr)
-	buf = append(buf, id...)
-	buf = append(buf, 0)
-	buf = binary.AppendUvarint(buf, uint64(k.Source))
-	dests := make([]topology.NodeID, len(k.Dests))
-	copy(dests, k.Dests)
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	for _, d := range dests {
-		buf = binary.AppendUvarint(buf, uint64(d))
+	if !destsSorted(k.Dests) {
+		k.Dests = slices.Clone(k.Dests)
+		slices.Sort(k.Dests)
 	}
-	return string(buf)
+	var buf [128]byte
+	return string(appendPlanKeySorted(buf[:0], id, k, repr))
 }
 
 // appendPlanKeySorted appends the cache key of (repr, id, k) to dst and
-// returns the grown buffer. It requires k.Dests already sorted ascending
-// and then produces exactly the bytes of planKey, so entries built
-// through either path share one cache slot. Unlike planKey it copies and
-// sorts nothing: with a reused buffer the key build is allocation-free.
+// returns the grown buffer. It requires k.Dests already sorted ascending;
+// it is the one key encoder, so entries built through planKey or a
+// reused buffer share one cache slot. It copies and sorts nothing: with a
+// reused buffer the key build is allocation-free.
 func appendPlanKeySorted(dst []byte, id string, k core.MulticastSet, repr byte) []byte {
 	dst = append(dst, repr)
 	dst = append(dst, id...)

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -256,5 +257,104 @@ func TestPlanCacheStatsConcurrent(t *testing.T) {
 	}
 	if got := c.Stats().Invalidations; got == 0 {
 		t.Error("invalidations counter did not advance")
+	}
+}
+
+// linkPlan is a one-hop route-form plan over the link (a, b), so a test
+// can invalidate exactly the entries it chooses.
+func linkPlan(a, b topology.NodeID) Plan {
+	return Plan{Paths: []dfr.PathRoute{{Nodes: []topology.NodeID{a, b}, Dests: []topology.NodeID{b}}}}
+}
+
+// TestCacheFIFOBoundedUnderInvalidation: put/invalidate cycles must not
+// grow the eviction FIFO past the live entries it orders — the cache's
+// bounded-memory promise.
+func TestCacheFIFOBoundedUnderInvalidation(t *testing.T) {
+	c := NewPlanCache(64)
+	dead := []uint64{ChannelPair(0, 1)}
+	for i := 0; i < 10000; i++ {
+		k := core.MulticastSet{Source: 0, Dests: []topology.NodeID{topology.NodeID(1 + i%500)}}
+		c.PutPlan("r", k, linkPlan(0, 1))
+		c.Invalidate(dead)
+	}
+	fifo := 0
+	for i := range c.shards {
+		fifo += len(c.shards[i].fifo)
+	}
+	if live := c.Len(); live != 0 || fifo > 2*live {
+		t.Fatalf("after 10000 put/invalidate cycles: %d live entries, %d FIFO slots", live, fifo)
+	}
+}
+
+// TestCacheReinsertedPlanNotEvictedEarly: a plan invalidated and put
+// again is the newest entry of its shard, so the next eviction must take
+// the oldest live entry, not the re-inserted one through its stale first
+// FIFO slot.
+func TestCacheReinsertedPlanNotEvictedEarly(t *testing.T) {
+	c := NewPlanCache(2 * cacheShards) // two entries per shard
+	// Three multicast sets whose keys share one shard.
+	var ks []core.MulticastSet
+	var shard *cacheShard
+	for d := topology.NodeID(1); len(ks) < 3; d++ {
+		k := core.MulticastSet{Source: 0, Dests: []topology.NodeID{d}}
+		s := c.shardFor(planKey("r", k, reprPlan))
+		if shard == nil {
+			shard = s
+		}
+		if s == shard {
+			ks = append(ks, k)
+		}
+	}
+	a, b, cc := ks[0], ks[1], ks[2]
+	c.PutPlan("r", a, linkPlan(0, 1))
+	c.PutPlan("r", b, linkPlan(2, 3))
+	if n := c.Invalidate([]uint64{ChannelPair(0, 1)}); n != 1 {
+		t.Fatalf("invalidated %d entries, want 1", n)
+	}
+	c.PutPlan("r", a, linkPlan(4, 5))  // a is now the newest entry
+	c.PutPlan("r", cc, linkPlan(6, 7)) // full shard: evict the oldest live, b
+	if _, ok := c.GetPlan("r", a); !ok {
+		t.Error("re-inserted plan evicted ahead of an older entry")
+	}
+	if _, ok := c.GetPlan("r", b); ok {
+		t.Error("oldest live entry survived the eviction")
+	}
+	if _, ok := c.GetPlan("r", cc); !ok {
+		t.Error("newest plan missing")
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Errorf("%d evictions, want 1", ev)
+	}
+}
+
+// TestPlanKeyEncodings: planKey and appendPlanKeySorted give identical
+// bytes for the same set however its destinations are listed, and the
+// encoding is the committed one (tag, router id, NUL, uvarint source,
+// uvarint destinations ascending).
+func TestPlanKeyEncodings(t *testing.T) {
+	unsorted := core.MulticastSet{Source: 5, Dests: []topology.NodeID{300, 2, 17}}
+	sorted := core.MulticastSet{Source: 5, Dests: []topology.NodeID{2, 17, 300}}
+	const want = "pdual-path\x00\x05\x02\x11\xac\x02"
+	if got := planKey("dual-path", unsorted, reprPlan); got != want {
+		t.Fatalf("planKey(unsorted) = %q, want %q", got, want)
+	}
+	if got := planKey("dual-path", sorted, reprPlan); got != want {
+		t.Fatalf("planKey(sorted) = %q, want %q", got, want)
+	}
+	if got := string(appendPlanKeySorted(nil, "dual-path", sorted, reprPlan)); got != want {
+		t.Fatalf("appendPlanKeySorted = %q, want %q", got, want)
+	}
+	if unsorted.Dests[0] != 300 {
+		t.Fatal("planKey reordered the caller's destinations")
+	}
+	rng := stats.NewRand(9)
+	m := topology.NewMesh2D(16, 16)
+	for i := 0; i < 200; i++ {
+		k := randomSet(m, rng, 1+rng.Intn(30))
+		s := core.MulticastSet{Source: k.Source, Dests: append([]topology.NodeID(nil), k.Dests...)}
+		slices.Sort(s.Dests)
+		if a, b := planKey("x", k, reprFlat), string(appendPlanKeySorted(nil, "x", s, reprFlat)); a != b {
+			t.Fatalf("encoders disagree for %v: %q vs %q", k.Dests, a, b)
+		}
 	}
 }

@@ -12,21 +12,22 @@ import (
 // all behind an epoch counter.
 //
 // Routers built over State() observe every applied delta on their next
-// plan: the scheme builders capture the State and read adjacency through
-// it at plan time, so one router survives arbitrarily many epochs without
-// rebuild. Plans produced at any epoch are byte-identical to plans over a
-// freshly built NewStateWithLabeling(NewMasked(...), labeling) with the
-// same dead sets (the churn-equivalence tests in internal/fault pin
-// this).
+// plan: every path scheme walks the State's adjacency rows (its
+// core.Tables) at plan time, and Apply patches those rows in place, so
+// one router survives arbitrarily many epochs without rebuild. Plans
+// produced at any epoch are byte-identical to plans over a freshly built
+// NewStateWithLabeling(NewMasked(...), labeling) with the same dead sets
+// (the churn-equivalence tests in internal/fault pin this).
 //
 // Concurrency contract (the epoch protocol): Apply is a write and must be
 // externally synchronized against reads — apply deltas between planning
 // rounds, never during one. Within an epoch the state is safe for
 // unlimited concurrent readers, like State.
 type LiveState struct {
-	baseline *State
-	live     *topology.LiveMasked
-	cur      *State
+	baseline  *State
+	live      *topology.LiveMasked
+	neighbors [][]topology.NodeID // cur's adjacency rows, patched by Apply
+	cur       *State
 }
 
 // NewLiveState builds the live state over a healthy baseline. The
@@ -34,16 +35,17 @@ type LiveState struct {
 // epoch 0 with every node and link healthy, planning identically to the
 // baseline.
 func NewLiveState(baseline *State) *LiveState {
-	live := topology.NewLiveMasked(baseline.topo)
-	n := baseline.topo.Nodes()
+	live := topology.NewLiveMasked(baseline.Topology())
+	n := baseline.Topology().Nodes()
 	neighbors := make([][]topology.NodeID, n)
 	for v := 0; v < n; v++ {
 		neighbors[v] = live.NeighborsShared(topology.NodeID(v))
 	}
 	return &LiveState{
-		baseline: baseline,
-		live:     live,
-		cur:      &State{topo: live, label: baseline.label, neighbors: neighbors},
+		baseline:  baseline,
+		live:      live,
+		neighbors: neighbors,
+		cur:       &State{tab: baseline.tab.WithAdjacency(live, neighbors)},
 	}
 }
 
@@ -53,7 +55,7 @@ func NewLiveState(baseline *State) *LiveState {
 func (ls *LiveState) Apply(d topology.GraphDelta) []topology.NodeID {
 	changed := ls.live.Apply(d)
 	for _, v := range changed {
-		ls.cur.neighbors[v] = ls.live.NeighborsShared(v)
+		ls.neighbors[v] = ls.live.NeighborsShared(v)
 	}
 	return changed
 }

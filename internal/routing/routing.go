@@ -135,12 +135,12 @@ type LiveRouter interface {
 
 // State is the immutable precomputed routing state of one topology: the
 // Hamiltonian labeling flattened into dense label and position tables,
-// plus per-node adjacency lists. Construct it once per topology (or use
-// SharedState) and share it freely across goroutines.
+// plus per-node adjacency rows (core.Tables). Every path scheme plans
+// over these tables, so a plan reads labels and neighbors by index.
+// Construct it once per topology (or use SharedState) and share it
+// freely across goroutines.
 type State struct {
-	topo      topology.Topology
-	label     *tableLabeling
-	neighbors [][]topology.NodeID
+	tab *core.Tables
 }
 
 // NewState precomputes routing state for t under its canonical
@@ -159,61 +159,24 @@ func NewState(t topology.Topology) (*State, error) {
 // flattened into tables, so an expensive Label implementation is paid
 // once per topology, not once per hop.
 func NewStateWithLabeling(t topology.Topology, l labeling.Labeling) *State {
-	n := t.Nodes()
-	tl := &tableLabeling{
-		labels: make([]int32, n),
-		at:     make([]topology.NodeID, n),
-	}
-	for v := 0; v < n; v++ {
-		lab := l.Label(topology.NodeID(v))
-		tl.labels[v] = int32(lab)
-		tl.at[lab] = topology.NodeID(v)
-	}
-	neighbors := make([][]topology.NodeID, n)
-	for v := 0; v < n; v++ {
-		neighbors[v] = t.Neighbors(topology.NodeID(v), nil)
-	}
-	return &State{topo: t, label: tl, neighbors: neighbors}
+	return &State{tab: core.NewTables(t, l)}
 }
 
 // Topology returns the topology the state was built over.
-func (s *State) Topology() topology.Topology { return s.topo }
+func (s *State) Topology() topology.Topology { return s.tab.Topology() }
+
+// Tables returns the dense routing tables the schemes plan over.
+func (s *State) Tables() *core.Tables { return s.tab }
 
 // Labeling returns the precomputed (table-backed) Hamiltonian labeling.
-func (s *State) Labeling() labeling.Labeling { return s.label }
+func (s *State) Labeling() labeling.Labeling { return s.tab }
 
 // Label returns the Hamiltonian-path position of v.
-func (s *State) Label(v topology.NodeID) int { return s.label.Label(v) }
+func (s *State) Label(v topology.NodeID) int { return s.tab.Label(v) }
 
 // At returns the node at the given Hamiltonian-path position.
-func (s *State) At(label int) topology.NodeID { return s.label.At(label) }
+func (s *State) At(label int) topology.NodeID { return s.tab.At(label) }
 
 // Neighbors returns the precomputed adjacency list of v. Callers must
 // not modify the returned slice.
-func (s *State) Neighbors(v topology.NodeID) []topology.NodeID { return s.neighbors[v] }
-
-// tableLabeling is a labeling.Labeling backed by dense arrays, the
-// precomputed form every State carries.
-type tableLabeling struct {
-	labels []int32
-	at     []topology.NodeID
-}
-
-// N implements labeling.Labeling.
-func (l *tableLabeling) N() int { return len(l.labels) }
-
-// Label implements labeling.Labeling.
-func (l *tableLabeling) Label(v topology.NodeID) int {
-	if v < 0 || int(v) >= len(l.labels) {
-		panic(fmt.Sprintf("routing: node %d out of range [0,%d)", v, len(l.labels)))
-	}
-	return int(l.labels[v])
-}
-
-// At implements labeling.Labeling.
-func (l *tableLabeling) At(label int) topology.NodeID {
-	if label < 0 || label >= len(l.at) {
-		panic(fmt.Sprintf("routing: label %d out of range [0,%d)", label, len(l.at)))
-	}
-	return l.at[label]
-}
+func (s *State) Neighbors(v topology.NodeID) []topology.NodeID { return s.tab.Neighbors(v) }

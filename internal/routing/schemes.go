@@ -10,7 +10,8 @@ import (
 
 // This file registers the Chapter 6 deadlock-free schemes and the
 // Section 8.2 extensions. Every builder captures the precomputed State,
-// so per-plan work is pure route construction.
+// and every path scheme plans over its core.Tables, so per-plan work is
+// pure route construction over dense label and adjacency tables.
 
 // router is the common Router implementation: a name, an identity, the
 // state, and a plan function. live is non-nil for adaptive schemes.
@@ -33,7 +34,7 @@ func (r *router) State() *State { return r.st }
 
 // Plan implements Router.
 func (r *router) Plan(src topology.NodeID, dests []topology.NodeID) (Plan, error) {
-	k, err := core.NewMulticastSet(r.st.topo, src, dests)
+	k, err := core.NewMulticastSet(r.st.Topology(), src, dests)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -57,14 +58,13 @@ func (r *liveRouter) PlanLive(k core.MulticastSet, oracle dfr.ChannelOracle) Pla
 // for the Fig. 7.8 comparison: traffic is spread across the two channel
 // copies by source parity, halving contention per copy. Every copy
 // network carries only label-monotone paths, so each remains acyclic and
-// the assignment preserves deadlock freedom.
+// the assignment preserves deadlock freedom. The star is freshly planned,
+// so its paths are classed in place.
 func classifyDouble(s dfr.Star) []dfr.PathRoute {
-	out := make([]dfr.PathRoute, len(s.Paths))
-	for i, p := range s.Paths {
-		out[i] = p
-		out[i].Class = (int(s.Source) + i) % 2
+	for i := range s.Paths {
+		s.Paths[i].Class = (int(s.Source) + i) % 2
 	}
-	return out
+	return s.Paths
 }
 
 func init() {
@@ -75,7 +75,7 @@ func init() {
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "dual-path", id: "dual-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.DualPath(s.topo, s.label, k).Paths}
+					return Plan{Paths: dfr.DualPathOn(s.tab, k).Paths}
 				}}, nil
 		},
 	})
@@ -86,7 +86,7 @@ func init() {
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "dual-path-double", id: "dual-path-double", st: s,
 				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: classifyDouble(dfr.DualPath(s.topo, s.label, k))}
+					return Plan{Paths: classifyDouble(dfr.DualPathOn(s.tab, k))}
 				}}, nil
 		},
 	})
@@ -127,7 +127,7 @@ func init() {
 		Build: func(s *State, _ Options) (Router, error) {
 			return &router{scheme: "fixed-path", id: "fixed-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.FixedPath(s.topo, s.label, k).Paths}
+					return Plan{Paths: dfr.FixedPathOn(s.tab, k).Paths}
 				}}, nil
 		},
 	})
@@ -136,9 +136,9 @@ func init() {
 		Description:  "double-channel X-first multicast tree (Section 6.2.1, 2D mesh)",
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
-			m, ok := meshOf(s.topo)
+			m, ok := meshOf(s.Topology())
 			if !ok {
-				return nil, fmt.Errorf("routing: tree scheme needs a 2D mesh, got %s", s.topo.Name())
+				return nil, fmt.Errorf("routing: tree scheme needs a 2D mesh, got %s", s.Topology().Name())
 			}
 			return &router{scheme: "tree", id: "tree", st: s,
 				plan: func(k core.MulticastSet) Plan {
@@ -151,9 +151,9 @@ func init() {
 		Description:  "single-channel X-first tree — deadlock-PRONE (Section 6.1 demonstration)",
 		DeadlockFree: false,
 		Build: func(s *State, _ Options) (Router, error) {
-			m, ok := meshOf(s.topo)
+			m, ok := meshOf(s.Topology())
 			if !ok {
-				return nil, fmt.Errorf("routing: naive-tree scheme needs a 2D mesh, got %s", s.topo.Name())
+				return nil, fmt.Errorf("routing: naive-tree scheme needs a 2D mesh, got %s", s.Topology().Name())
 			}
 			return &router{scheme: "naive-tree", id: "naive-tree", st: s,
 				plan: func(k core.MulticastSet) Plan {
@@ -167,7 +167,7 @@ func init() {
 		DeadlockFree: true,
 		Build: func(s *State, _ Options) (Router, error) {
 			live := func(k core.MulticastSet, oracle dfr.ChannelOracle) Plan {
-				return Plan{Paths: dfr.AdaptiveDualPath(s.topo, s.label, k, oracle).Paths}
+				return Plan{Paths: dfr.AdaptiveDualPathOn(s.tab, k, oracle).Paths}
 			}
 			return &liveRouter{router{scheme: "adaptive-dual-path", id: "adaptive-dual-path", st: s,
 				plan: func(k core.MulticastSet) Plan {
@@ -191,7 +191,7 @@ func init() {
 			return &router{scheme: "virtual-channel",
 				id: fmt.Sprintf("virtual-channel?v=%d", v), st: s,
 				plan: func(k core.MulticastSet) Plan {
-					return Plan{Paths: dfr.VirtualChannelPath(s.topo, s.label, k, v).Paths}
+					return Plan{Paths: dfr.VirtualChannelPathOn(s.tab, k, v).Paths}
 				}}, nil
 		},
 	})
@@ -200,17 +200,17 @@ func init() {
 // multiPathFn dispatches the multi-path algorithm by topology. Masked
 // views are routed over the mask but split by the underlying geometry.
 func multiPathFn(s *State) (func(k core.MulticastSet) dfr.Star, error) {
-	if m, ok := meshOf(s.topo); ok {
+	if m, ok := meshOf(s.Topology()); ok {
 		return func(k core.MulticastSet) dfr.Star {
-			return dfr.MultiPathMeshOn(s.topo, m, s.label, k)
+			return dfr.MultiPathMeshOn(s.tab, m, k)
 		}, nil
 	}
-	if h, ok := cubeOf(s.topo); ok {
+	if _, ok := cubeOf(s.Topology()); ok {
 		return func(k core.MulticastSet) dfr.Star {
-			return dfr.MultiPathCubeOn(s.topo, h, s.label, k)
+			return dfr.MultiPathCubeOn(s.tab, k)
 		}, nil
 	}
-	return nil, fmt.Errorf("routing: multi-path needs a 2D mesh or hypercube, got %s", s.topo.Name())
+	return nil, fmt.Errorf("routing: multi-path needs a 2D mesh or hypercube, got %s", s.Topology().Name())
 }
 
 // meshOf unwraps the 2D mesh beneath t, looking through a Masked view,

@@ -16,7 +16,7 @@ import (
 // cycles, and the network fully drains.
 func TestQuickSingleWormLatencyFormula(t *testing.T) {
 	m := topology.NewMesh2D(8, 8)
-	l := labeling.NewMeshBoustrophedon(m)
+	tb := core.NewTables(m, labeling.NewMeshBoustrophedon(m))
 	f := func(rawSrc, rawDst uint8, rawLen uint8) bool {
 		src := topology.NodeID(int(rawSrc) % m.Nodes())
 		dst := topology.NodeID(int(rawDst) % m.Nodes())
@@ -24,7 +24,7 @@ func TestQuickSingleWormLatencyFormula(t *testing.T) {
 			return true
 		}
 		length := 1 + int(rawLen)%200
-		nodes := core.RoutePath(m, l, src, dst)
+		nodes := tb.RoutePath(src, dst)
 		n := NewNetwork(m)
 		var got int64 = -1
 		n.OnDelivery(func(_ topology.NodeID, c int64) { got = c })

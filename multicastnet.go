@@ -129,6 +129,7 @@ type System struct {
 	mesh3d *topology.Mesh3D    // nil unless a 3D mesh
 	cube   *topology.Hypercube // nil unless a hypercube
 	label  labeling.Labeling
+	tab    *core.Tables // label and adjacency tables the path schemes plan over
 	ham    *labeling.HamiltonCycle
 }
 
@@ -138,7 +139,7 @@ type System struct {
 // for every other algorithm and SortedMP returns an error.
 func NewMeshSystem(width, height int) (*System, error) {
 	m := topology.NewMesh2D(width, height)
-	s := &System{topo: m, mesh: m, label: labeling.NewMeshBoustrophedon(m)}
+	s := withTables(&System{topo: m, mesh: m, label: labeling.NewMeshBoustrophedon(m)})
 	if c, err := labeling.MeshHamiltonCycle(m); err == nil {
 		s.ham = c
 	}
@@ -152,7 +153,7 @@ func NewCubeSystem(n int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{topo: h, cube: h, label: labeling.NewHypercubeGray(h), ham: c}, nil
+	return withTables(&System{topo: h, cube: h, label: labeling.NewHypercubeGray(h), ham: c}), nil
 }
 
 // NewMesh3DSystem builds a System over a 3D mesh (the Section 4.3
@@ -161,7 +162,14 @@ func NewCubeSystem(n int) (*System, error) {
 // algorithms (which need a Hamilton cycle construction) are not.
 func NewMesh3DSystem(width, height, depth int) (*System, error) {
 	m := topology.NewMesh3D(width, height, depth)
-	return &System{topo: m, mesh3d: m, label: labeling.NewMesh3DBoustrophedon(m)}, nil
+	return withTables(&System{topo: m, mesh3d: m, label: labeling.NewMesh3DBoustrophedon(m)}), nil
+}
+
+// withTables flattens the system's labeling and adjacency once, so every
+// path-scheme call plans over tables instead of rebuilding them.
+func withTables(s *System) *System {
+	s.tab = core.NewTables(s.topo, s.label)
+	return s
 }
 
 // Topology returns the underlying host graph.
@@ -238,22 +246,22 @@ func (s *System) LEN(k MulticastSet) (*STResult, error) {
 }
 
 // DualPath runs the deadlock-free dual-path algorithm (Section 6.2.2/6.3).
-func (s *System) DualPath(k MulticastSet) Star { return dfr.DualPath(s.topo, s.label, k) }
+func (s *System) DualPath(k MulticastSet) Star { return dfr.DualPathOn(s.tab, k) }
 
 // MultiPath runs the deadlock-free multi-path algorithm.
 func (s *System) MultiPath(k MulticastSet) (Star, error) {
 	switch {
 	case s.mesh != nil:
-		return dfr.MultiPathMesh(s.mesh, s.label, k), nil
+		return dfr.MultiPathMeshOn(s.tab, s.mesh, k), nil
 	case s.cube != nil:
-		return dfr.MultiPathCube(s.cube, s.label, k), nil
+		return dfr.MultiPathCubeOn(s.tab, k), nil
 	default:
 		return Star{}, fmt.Errorf("multicastnet: multi-path unsupported on %s", s.topo.Name())
 	}
 }
 
 // FixedPath runs the deadlock-free fixed-path algorithm.
-func (s *System) FixedPath(k MulticastSet) Star { return dfr.FixedPath(s.topo, s.label, k) }
+func (s *System) FixedPath(k MulticastSet) Star { return dfr.FixedPathOn(s.tab, k) }
 
 // DoubleChannelXFirst runs the deadlock-free tree scheme (mesh only).
 func (s *System) DoubleChannelXFirst(k MulticastSet) ([]TreeRoute, error) {
@@ -310,7 +318,7 @@ func (s *System) TreeRouteFunc() (RouteFunc, error) {
 // destinations are spread over v channel copies, giving up to 2v
 // label-monotone paths. v = 1 is dual-path routing.
 func (s *System) VirtualChannelPath(k MulticastSet, v int) Star {
-	return dfr.VirtualChannelPath(s.topo, s.label, k, v)
+	return dfr.VirtualChannelPathOn(s.tab, k, v)
 }
 
 // VirtualChannelRouteFunc adapts the virtual-channel scheme for Simulate.
