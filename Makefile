@@ -21,9 +21,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: quick performance smoke — core throughput, figure pipeline, routing engine (cold, cached, and per path scheme with allocations), heuristic kernels, static sweep scaling
+## bench: quick performance smoke — core throughput, figure pipeline, the simulator's deadlock audit (with allocations), routing engine (cold, cached, and per path scheme with allocations), heuristic kernels, static sweep scaling
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkWormsimCyclesPerSec|BenchmarkDynamicFigures|BenchmarkSimulator' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkDetectDeadlock' -benchmem -benchtime 1000x ./internal/wormsim
 	$(GO) test -run '^$$' -bench 'BenchmarkRoutingPlan' -benchmem -benchtime 100x ./internal/routing
 	$(GO) test -run '^$$' -bench 'BenchmarkGreedyST|BenchmarkKMB|BenchmarkSortedMP' -benchmem -benchtime 100x ./internal/heuristics
 	$(GO) test -run '^$$' -bench 'BenchmarkStaticTable' -benchmem -benchtime 1x ./internal/experiments
@@ -65,11 +66,12 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip)
+## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + deadlock audit against the full wait-for graph)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 30s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:

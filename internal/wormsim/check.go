@@ -37,7 +37,9 @@ type ckScratch struct {
 //     once each;
 //   - delivery conservation: per-worm undelivered counts match the
 //     delivery flags, and each multicast's remaining+lost+delivered
-//     partitions its destination set.
+//     partitions its destination set;
+//   - drain timers: only fully routed worms sleep, and the sleeper count
+//     matches the live worms asleep.
 func (n *Network) CheckInvariants() error {
 	ck := &n.ck
 	ck.epoch++
@@ -56,13 +58,19 @@ func (n *Network) CheckInvariants() error {
 		ck.mcUndeliv = append(ck.mcUndeliv, make([]int32, grow)...)
 	}
 	ck.mcList = ck.mcList[:0]
-	live := 0
+	live, asleep := 0, 0
 	for _, wi := range n.worms {
 		w := &n.slots[wi]
 		if w.done {
 			continue
 		}
 		live++
+		if w.wakeAt != 0 {
+			asleep++
+			if w.headIdx < w.routeLen() {
+				return fmt.Errorf("wormsim: worm %d sleeps with its header at %d of %d", w.id, w.headIdx, w.routeLen())
+			}
+		}
 		holds := func(id int32) error {
 			if ck.ownerStamp[id] == base {
 				return fmt.Errorf("wormsim: channel %d held by worms %d and %d", id, n.slots[ck.owner[id]].id, w.id)
@@ -137,6 +145,9 @@ func (n *Network) CheckInvariants() error {
 	}
 	if live != n.inFlight {
 		return fmt.Errorf("wormsim: %d live worms but inFlight = %d", live, n.inFlight)
+	}
+	if asleep != n.sleepers {
+		return fmt.Errorf("wormsim: %d live worms asleep but sleepers = %d", asleep, n.sleepers)
 	}
 	for id := range n.chanOwner {
 		if o := n.chanOwner[id]; o >= 0 {

@@ -266,7 +266,7 @@ func Run(cfg Config) (Result, error) {
 	// and hence every result, is bit-identical. Workload mode replaces
 	// the generators with a one-request lookahead on the stream.
 	var interCycles float64
-	var spawns spawnHeap
+	var spawns eventHeap
 	var wlAt int64
 	var wlSet core.MulticastSet
 	var wlOK bool
@@ -274,9 +274,9 @@ func Run(cfg Config) (Result, error) {
 		wlAt, wlSet, wlOK = cfg.Workload()
 	} else {
 		interCycles = cfg.MeanInterarrivalMicros / flitUs
-		spawns = make(spawnHeap, 0, topo.Nodes())
+		spawns = make(eventHeap, 0, topo.Nodes())
 		for i := 0; i < topo.Nodes(); i++ {
-			spawns.push(spawnEvent{at: int64(rng.ExpFloat64(interCycles)), node: int32(i)})
+			spawns.push(event{at: int64(rng.ExpFloat64(interCycles)), ref: int32(i)})
 		}
 	}
 
@@ -316,7 +316,7 @@ func Run(cfg Config) (Result, error) {
 				if cfg.UnicastFraction > 0 && rng.Float64() < cfg.UnicastFraction {
 					avg = -1 // sentinel: exactly one destination
 				}
-				inject(net, cfg, route, randomMulticast(topo, rng, topology.NodeID(ev.node), avg), lengthFlits)
+				inject(net, cfg, route, randomMulticast(topo, rng, topology.NodeID(ev.ref), avg), lengthFlits)
 				res.MulticastsSent++
 				spawns.push(ev)
 			}
@@ -350,13 +350,16 @@ func Run(cfg Config) (Result, error) {
 				break
 			}
 		}
-		// Event-driven fast-forward: with no movable worm, the network
+		// Event-driven fast-forward: with no awake worm, the network
 		// state is frozen until the next injection, so the intervening
 		// cycles are no-ops. Jump the clock to the next event the loop
 		// would react to — a spawn, a periodic deadlock check (all-blocked
 		// worms are a wait-for cycle the %64 check will report), or the
 		// stall limit — keeping cycle counts identical to stepping.
-		if !net.movable() {
+		// Sleeping drainers only count flits until their timers, so the
+		// jump stops short of the earliest timer and, as they would have
+		// moved on every skipped cycle, counts as progress.
+		if !net.awake() {
 			if cfg.Workload != nil && !wlOK && net.ActiveWorms() == 0 {
 				// Stream exhausted and network drained: don't fast-forward
 				// to MaxCycles, the run ends at the drain cycle.
@@ -381,11 +384,19 @@ func Run(cfg Config) (Result, error) {
 					target = s
 				}
 			}
+			if net.sleepers > 0 {
+				if t := net.nextTimer() - 1; t < target {
+					target = t
+				}
+			}
 			if target > cfg.MaxCycles {
 				target = cfg.MaxCycles
 			}
 			if target > net.Cycle() {
 				net.cycle = target
+				if net.sleepers > 0 {
+					lastProgress = target
+				}
 			}
 		}
 	}
@@ -429,21 +440,23 @@ func inject(net *Network, cfg Config, route RouteFunc, k core.MulticastSet, leng
 	}
 }
 
-// spawnEvent is one pending multicast generation: node fires at cycle at.
-type spawnEvent struct {
-	at   int64
-	node int32
+// event is one pending timed event: a node's next multicast generation
+// (Run's spawn heap) or a sleeping worm's drain timer (ref is then its
+// slot).
+type event struct {
+	at  int64
+	ref int32
 }
 
-// spawnHeap is a binary min-heap of spawn events ordered by (at, node).
-type spawnHeap []spawnEvent
+// eventHeap is a binary min-heap of events ordered by (at, ref).
+type eventHeap []event
 
-func (h *spawnHeap) push(e spawnEvent) {
+func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if s[p].at < s[i].at || (s[p].at == s[i].at && s[p].node < s[i].node) {
+		if s[p].at < s[i].at || (s[p].at == s[i].at && s[p].ref < s[i].ref) {
 			break
 		}
 		s[p], s[i] = s[i], s[p]
@@ -451,7 +464,7 @@ func (h *spawnHeap) push(e spawnEvent) {
 	}
 }
 
-func (h *spawnHeap) pop() spawnEvent {
+func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
@@ -461,10 +474,10 @@ func (h *spawnHeap) pop() spawnEvent {
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(s) && (s[l].at < s[min].at || (s[l].at == s[min].at && s[l].node < s[min].node)) {
+		if l < len(s) && (s[l].at < s[min].at || (s[l].at == s[min].at && s[l].ref < s[min].ref)) {
 			min = l
 		}
-		if r < len(s) && (s[r].at < s[min].at || (s[r].at == s[min].at && s[r].node < s[min].node)) {
+		if r < len(s) && (s[r].at < s[min].at || (s[r].at == s[min].at && s[r].ref < s[min].ref)) {
 			min = r
 		}
 		if min == i {

@@ -189,6 +189,7 @@ func (n *Network) regionMask(w *worm) uint64 {
 func (n *Network) stepSharded() bool {
 	n.cycle++
 	n.progress = false
+	n.fireTimers()
 	n.mergeWokenNext()
 
 	s := &n.shard
@@ -224,7 +225,7 @@ func (n *Network) stepSharded() bool {
 		s.wg.Wait()
 	}
 	n.fold(dispatched)
-	return n.progress
+	return n.progress || n.sleepers > 0
 }
 
 // fold commits the round in ascending worm-id order, merged with worms
@@ -282,7 +283,9 @@ func (n *Network) fold(dispatched bool) {
 			n.retire(wi)
 		} else if !w.parked {
 			w.mask = n.regionMask(w)
-			next = append(next, wi)
+			if !n.sleepDrain(wi, w) {
+				next = append(next, wi)
+			}
 		}
 	}
 	n.inStep = false
@@ -311,7 +314,7 @@ func (n *Network) foldRecord(pos int, wi wormRef, next *[]wormRef) {
 		}
 		if rec.retired {
 			n.retire(wi)
-		} else {
+		} else if !n.sleepDrain(wi, w) {
 			*next = append(*next, wi)
 		}
 	case recKilled:
@@ -343,7 +346,9 @@ func (n *Network) foldRecord(pos int, wi wormRef, next *[]wormRef) {
 			n.retire(wi)
 		} else if !w.parked {
 			w.mask = n.regionMask(w)
-			*next = append(*next, wi)
+			if !n.sleepDrain(wi, w) {
+				*next = append(*next, wi)
+			}
 		}
 	}
 }

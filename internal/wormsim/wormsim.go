@@ -49,6 +49,22 @@
 //     into the active scan in ascending worm-id order, which keeps the
 //     cycle-level semantics bit-identical to the original every-worm scan
 //     (worms were always processed in injection order).
+//   - Drain timers: a fully routed worm only counts flits until its next
+//     delivery or tail release, so it leaves the active list and sleeps
+//     on a min-heap timer keyed by the cycle of that event. The timer
+//     wakes it through wokenNext (the ascending-id merge), its progress
+//     catches up by the cycles it slept, and Step keeps reporting
+//     progress while any live worm sleeps. Run's idle fast-forward also
+//     jumps stretches in which only sleepers would move, up to the next
+//     timer.
+//   - Delivery cursor: each worm keeps nextDue, a lower bound on the
+//     progress of its next undelivered destination, and rescans its
+//     deliveries only once progress reaches it.
+//   - Reduced wait-for graph: DetectDeadlock builds nodes only for worms
+//     whose header still waits, and one edge per waited channel (to the
+//     waiter just ahead in its FIFO, or to the owner). A cycle exists in
+//     it exactly when one exists in the full graph, where a worm waits
+//     for the owner and every waiter ahead of it.
 //   - The cold audits reuse epoch-stamped scratch (DetectDeadlock,
 //     CheckInvariants, FailWhere), so periodic checks neither allocate
 //     nor distort profiles.
@@ -59,6 +75,7 @@ package wormsim
 
 import (
 	"fmt"
+	"math"
 
 	"multicastnet/internal/dfr"
 	"multicastnet/internal/routing"
@@ -128,8 +145,13 @@ type worm struct {
 
 	deliveries []delivery
 	undeliv    int
-	length     int   // message length in flits
-	spawned    int64 // cycle at which the multicast was initiated
+	// nextDue is the delivery cursor: a lower bound on the smallest
+	// idx+length-1 among the undelivered destinations. Deliveries are
+	// rescanned only once progress reaches it; a stale-low value (0 at
+	// injection, or after a sharded worker delivered) just forces a scan.
+	nextDue int
+	length  int   // message length in flits
+	spawned int64 // cycle at which the multicast was initiated
 
 	// Scheduling state (see Step): a parked worm is blocked and off the
 	// active list; waking is idempotent per cycle via wakePending.
@@ -137,6 +159,11 @@ type worm struct {
 	wakePending bool
 	done        bool  // retired; awaiting compaction out of n.worms
 	doneCycle   int64 // cycle of retirement, gating freelist reuse (arena.go)
+	// A sleeping drainer (sleepDrain) is off the active list until cycle
+	// wakeAt (0: awake); it fell asleep at cycle sleptAt, and its progress
+	// lags by the cycles since then until the timer fires.
+	wakeAt  int64
+	sleptAt int64
 
 	// mask is the set of shard regions (bit per worker) the worm's next
 	// advance touches; maintained only when sharded stepping is enabled
@@ -204,6 +231,13 @@ type Network struct {
 	scanID    int  // id of the worm being processed by Step
 	inStep    bool // routes wakes between wokenNow and wokenNext
 
+	// Drain timers (sleepDrain): sleeping fully routed worms keyed by the
+	// cycle they must next advance. Entries of killed sleepers stay in the
+	// heap until they surface and are then skipped, so sleepers — the exact
+	// count of live sleeping worms — is what counts as movement.
+	timers   eventHeap
+	sleepers int
+
 	// Fault state: predicates applied to every channel — existing and
 	// future-interned — by FailWhere; killed counts fault-killed worms.
 	deadPreds []func(dfr.Channel) bool
@@ -254,13 +288,20 @@ func (n *Network) Cycle() int64 { return n.cycle }
 // ActiveWorms returns the number of in-flight worms.
 func (n *Network) ActiveWorms() int { return n.inFlight }
 
-// movable reports whether any worm can advance without external input:
-// the active list, this cycle's residual wakes, and next cycle's wakes
-// are all empty. With no movable worms and no pending injections the
-// network state is frozen, which Run exploits to fast-forward idle
-// cycles.
-func (n *Network) movable() bool {
+// awake reports whether a worm will be visited next cycle: the active
+// list, this cycle's residual wakes, or next cycle's wakes are non-empty.
+// With nothing awake and no pending injections, only sleeping drainers
+// change state before the next timer, which Run exploits to fast-forward.
+func (n *Network) awake() bool {
 	return len(n.active) > 0 || len(n.wokenNow) > 0 || len(n.wokenNext) > 0
+}
+
+// movable reports whether any worm can advance without external input:
+// an awake worm, or a sleeping drainer (it advances every cycle in the
+// flit-clock model, only its bookkeeping is deferred). With no movable
+// worms the network state is frozen until new traffic arrives.
+func (n *Network) movable() bool {
+	return n.awake() || n.sleepers > 0
 }
 
 // Idle reports whether the network is frozen: no worm can advance until
@@ -654,6 +695,7 @@ func (n *Network) Step() bool {
 	}
 	n.cycle++
 	n.progress = false
+	n.fireTimers()
 	n.mergeWokenNext()
 
 	n.inStep = true
@@ -685,14 +727,88 @@ func (n *Network) Step() bool {
 		}
 		if !live {
 			n.retire(wi)
-		} else if !w.parked {
+		} else if !w.parked && !n.sleepDrain(wi, w) {
 			next = append(next, wi)
 		}
 	}
 	n.inStep = false
 	n.nextBuf = n.active[:0]
 	n.active = next
-	return n.progress
+	return n.progress || n.sleepers > 0
+}
+
+// routeLen is the number of header steps of the worm's route: path
+// channels or tree levels.
+func (w *worm) routeLen() int {
+	if w.kind == treeWorm {
+		return len(w.levels)
+	}
+	return len(w.chans)
+}
+
+// sleepDrain takes a fully routed worm off the active list until the
+// cycle its progress reaches its next delivery or tail release: in
+// between, each cycle would only count one more drained flit. The timer
+// wakes it through wokenNext, so it rejoins the scan at its id's place
+// (fireTimers). It reports whether the worm went to sleep. Shared by the
+// serial Step and the sharded fold, so the engines cannot diverge.
+func (n *Network) sleepDrain(wi wormRef, w *worm) bool {
+	route := w.routeLen()
+	if w.headIdx < route {
+		return false
+	}
+	next := math.MaxInt
+	if w.released < route {
+		next = w.released + w.length
+	}
+	if w.undeliv > 0 {
+		if w.nextDue <= w.progress {
+			// Stale-low cursor (a sharded worker delivered): everything
+			// due has been delivered, so this only moves the cursor.
+			n.deliverDue(w)
+		}
+		next = min(next, w.nextDue)
+	}
+	if next <= w.progress+1 {
+		return false // acts next cycle anyway
+	}
+	w.sleptAt = n.cycle
+	w.wakeAt = n.cycle + int64(next-w.progress)
+	n.sleepers++
+	n.timers.push(event{at: w.wakeAt, ref: wi})
+	return true
+}
+
+// fireTimers moves the sleepers due this cycle to wokenNext, catching
+// their progress up to where one more advance reaches the event they
+// slept towards. Entries whose worm was killed while asleep (its slot may
+// since hold another worm) are skipped: a live sleeper's wakeAt always
+// matches its own entry.
+func (n *Network) fireTimers() {
+	for len(n.timers) > 0 && n.timers[0].at <= n.cycle {
+		e := n.timers.pop()
+		w := &n.slots[e.ref]
+		if w.wakeAt != e.at {
+			continue
+		}
+		w.progress += int(n.cycle - 1 - w.sleptAt)
+		w.wakeAt = 0
+		n.sleepers--
+		n.wokenNext = append(n.wokenNext, e.ref)
+	}
+}
+
+// nextTimer returns the cycle of the earliest live sleeper's timer,
+// dropping stale entries from the top of the heap; callers check
+// sleepers > 0 first.
+func (n *Network) nextTimer() int64 {
+	for {
+		e := n.timers[0]
+		if n.slots[e.ref].wakeAt == e.at {
+			return e.at
+		}
+		n.timers.pop()
+	}
 }
 
 // mergeWokenNext folds last cycle's deferred wakes into the active list,
@@ -741,6 +857,12 @@ func (n *Network) retire(wi wormRef) {
 	}
 	w.done = true
 	w.doneCycle = n.cycle
+	if w.wakeAt != 0 {
+		// Killed asleep: it stops counting as movement now; its timer
+		// entry goes stale (fireTimers).
+		w.wakeAt = 0
+		n.sleepers--
+	}
 	n.inFlight--
 	if dead := len(n.worms) - n.inFlight; dead > 32 && dead > n.inFlight {
 		live := n.worms[:0]
@@ -789,11 +911,8 @@ func (n *Network) advancePath(wi wormRef, w *worm) bool {
 		n.progress = true
 		// Deliveries: the last flit crosses the arrival channel at
 		// progress idx + length - 1.
-		for i := range w.deliveries {
-			d := &w.deliveries[i]
-			if !d.done && w.progress >= d.idx+w.length-1 {
-				n.deliver(w, d)
-			}
+		if w.progress >= w.nextDue {
+			n.deliverDue(w)
 		}
 		// Releases: the tail crosses channel index i at progress i + length.
 		for w.released < len(w.chans) && w.progress >= w.released+w.length {
@@ -853,11 +972,8 @@ func (n *Network) advanceTree(wi wormRef, w *worm) bool {
 	}
 	if moved {
 		n.progress = true
-		for i := range w.deliveries {
-			d := &w.deliveries[i]
-			if !d.done && w.progress >= d.idx+w.length-1 {
-				n.deliver(w, d)
-			}
+		if w.progress >= w.nextDue {
+			n.deliverDue(w)
 		}
 		for w.released < len(w.levels) && w.progress >= w.released+w.length {
 			for _, id := range w.levels[w.released].channels {
@@ -867,6 +983,25 @@ func (n *Network) advanceTree(wi wormRef, w *worm) bool {
 		}
 	}
 	return w.released < len(w.levels) || w.undeliv > 0
+}
+
+// deliverDue delivers, in route order, every undelivered destination
+// whose last flit has arrived at the worm's progress, and moves the
+// delivery cursor to the earliest one still outstanding.
+func (n *Network) deliverDue(w *worm) {
+	due := math.MaxInt
+	for i := range w.deliveries {
+		d := &w.deliveries[i]
+		if d.done {
+			continue
+		}
+		if at := d.idx + w.length - 1; w.progress >= at {
+			n.deliver(w, d)
+		} else {
+			due = min(due, at)
+		}
+	}
+	w.nextDue = due
 }
 
 // deliver records one destination delivery.
@@ -901,16 +1036,16 @@ func (n *Network) DeadlockedWormIDs() []int {
 	return n.DetectDeadlock()
 }
 
-// ddScratch is DetectDeadlock's reusable state: the periodic deadlock
-// audit (every 64 cycles under Run) used to allocate maps and adjacency
-// slices on every call — roughly a third of the serial hot-loop profile —
-// and now reuses epoch-stamped slot-indexed scratch instead.
+// ddScratch is DetectDeadlock's reusable state: epoch-stamped
+// slot-indexed scratch and a CSR adjacency, so the periodic deadlock
+// audit (every 64 cycles under Run) allocates nothing in steady state.
 type ddScratch struct {
-	live   []wormRef
-	pos    []int32 // slot -> index into live, valid when stamp == epoch
+	nodes  []wormRef // waiting worms, ascending id
+	pos    []int32   // slot -> index into nodes, valid when stamp == epoch
 	stamp  []int64
 	epoch  int64
-	adj    [][]int32 // wait-for edges, indexed by live position
+	adjOff []int32 // node u's wait-for edges are adj[adjOff[u]:adjOff[u+1]]
+	adj    []int32
 	color  []uint8
 	parent []int32
 	stack  []ddFrame
@@ -921,7 +1056,7 @@ type ddScratch struct {
 // (the recursion depth equals the wait-for chain length).
 type ddFrame struct {
 	u    int32
-	next int32 // index into adj[u] of the next edge to explore
+	next int32 // index into adj of u's next edge to explore
 }
 
 // DetectDeadlock searches the wait-for graph for a cycle: worm A waits
@@ -932,6 +1067,17 @@ type ddFrame struct {
 // the ids of the worms on one such cycle, or nil. Steady-state calls
 // allocate nothing (a found cycle — which ends the run — is the only
 // allocation).
+//
+// The audit searches a reduced graph. Only worms whose header still
+// waits get a node: a fully routed worm waits for no one, so it is a
+// sink and never on a cycle. Each waited channel gives one edge: to the
+// waiter just ahead in the channel's FIFO, to the FIFO's tail when the
+// worm has not queued yet, or to the owner when the worm is at the front
+// (or nobody queues). Every edge of the full graph — to the owner and to
+// each waiter ahead — is a chain of these edges through the FIFO, since
+// each queued waiter itself waits on the channel, and every reduced edge
+// is a full-graph edge. So a cycle exists here exactly when one exists
+// in the full graph, and any cycle returned is a cycle of both.
 func (n *Network) DetectDeadlock() []int {
 	dd := &n.dd
 	dd.epoch++
@@ -939,78 +1085,70 @@ func (n *Network) DetectDeadlock() []int {
 		dd.stamp = append(dd.stamp, make([]int64, len(n.slots)-len(dd.stamp))...)
 		dd.pos = append(dd.pos, make([]int32, len(n.slots)-len(dd.pos))...)
 	}
-	live := dd.live[:0]
+	nodes := dd.nodes[:0]
 	for _, wi := range n.worms {
-		if !n.slots[wi].done {
+		if w := &n.slots[wi]; !w.done && w.headIdx < w.routeLen() {
 			dd.stamp[wi] = dd.epoch
-			dd.pos[wi] = int32(len(live))
-			live = append(live, wi)
+			dd.pos[wi] = int32(len(nodes))
+			nodes = append(nodes, wi)
 		}
 	}
-	dd.live = live
-	for len(dd.adj) < len(live) {
-		dd.adj = append(dd.adj, nil)
-	}
-	adj := dd.adj[:len(live)]
-	for i := range adj {
-		adj[i] = adj[i][:0]
-	}
-	for i, wi := range live {
+	dd.nodes = nodes
+	adjOff := append(dd.adjOff[:0], 0)
+	adj := dd.adj[:0]
+	for _, wi := range nodes {
 		w := &n.slots[wi]
 		if w.kind == pathWorm {
-			if w.headIdx < len(w.chans) {
-				n.ddAddWait(adj, int32(i), wi, w.chans[w.headIdx])
-			}
-			continue
-		}
-		if w.headIdx >= len(w.levels) {
-			continue // draining; never blocks
-		}
-		l := &w.levels[w.headIdx]
-		for ci, id := range l.channels {
-			if !l.taken[ci] {
-				n.ddAddWait(adj, int32(i), wi, id)
+			adj = n.ddAddWait(adj, wi, w.chans[w.headIdx])
+		} else {
+			l := &w.levels[w.headIdx]
+			for ci, id := range l.channels {
+				if !l.taken[ci] {
+					adj = n.ddAddWait(adj, wi, id)
+				}
 			}
 		}
+		adjOff = append(adjOff, int32(len(adj)))
 	}
+	dd.adjOff, dd.adj = adjOff, adj
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	if cap(dd.color) < len(live) {
-		dd.color = make([]uint8, len(live))
-		dd.parent = make([]int32, len(live))
+	if cap(dd.color) < len(nodes) {
+		dd.color = make([]uint8, len(nodes))
+		dd.parent = make([]int32, len(nodes))
 	}
-	color := dd.color[:len(live)]
-	parent := dd.parent[:len(live)]
+	color := dd.color[:len(nodes)]
+	parent := dd.parent[:len(nodes)]
 	for i := range color {
 		color[i] = white
 		parent[i] = -1
 	}
 	stack := dd.stack[:0]
-	defer func() { dd.stack = stack[:0] }()
-	for start := range live {
+	for start := range nodes {
 		if color[start] != white {
 			continue
 		}
 		color[start] = gray
-		stack = append(stack[:0], ddFrame{u: int32(start)})
+		stack = append(stack[:0], ddFrame{u: int32(start), next: adjOff[start]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if int(f.next) < len(adj[f.u]) {
-				v := adj[f.u][f.next]
+			if f.next < adjOff[f.u+1] {
+				v := adj[f.next]
 				f.next++
 				switch color[v] {
 				case white:
 					parent[v] = f.u
 					color[v] = gray
-					stack = append(stack, ddFrame{u: v})
+					stack = append(stack, ddFrame{u: v, next: adjOff[v]})
 				case gray:
-					cycle := []int{n.slots[live[v]].id}
+					cycle := []int{n.slots[nodes[v]].id}
 					for x := f.u; x != v; x = parent[x] {
-						cycle = append(cycle, n.slots[live[x]].id)
+						cycle = append(cycle, n.slots[nodes[x]].id)
 					}
+					dd.stack = stack[:0]
 					return cycle
 				}
 			} else {
@@ -1019,25 +1157,32 @@ func (n *Network) DetectDeadlock() []int {
 			}
 		}
 	}
+	dd.stack = stack[:0]
 	return nil
 }
 
-// ddAddWait records the worms the worm at live position i (slot wi) waits
-// for on channel id: the current owner, and every waiter queued ahead of
-// it.
-func (n *Network) ddAddWait(adj [][]int32, i int32, wi wormRef, id int32) {
-	dd := &n.dd
-	if o := n.chanOwner[id]; o >= 0 && o != wi && dd.stamp[o] == dd.epoch {
-		adj[i] = append(adj[i], dd.pos[o])
-	}
-	for _, q := range n.chanWaiters(id) {
-		if q == wi {
-			break
+// ddAddWait appends the reduced wait-for edge of worm wi on channel id
+// (see DetectDeadlock). Targets without a node — draining worms, free or
+// dead channels, wi itself — add no edge.
+func (n *Network) ddAddWait(adj []int32, wi wormRef, id int32) []int32 {
+	t := n.chanOwner[id]
+	if q := n.chanWaiters(id); len(q) > 0 {
+		t = q[len(q)-1]
+		for k, x := range q {
+			if x == wi {
+				if k > 0 {
+					t = q[k-1]
+				} else {
+					t = n.chanOwner[id]
+				}
+				break
+			}
 		}
-		if dd.stamp[q] == dd.epoch {
-			adj[i] = append(adj[i], dd.pos[q])
-		}
 	}
+	if t >= 0 && t != wi && n.dd.stamp[t] == n.dd.epoch {
+		adj = append(adj, n.dd.pos[t])
+	}
+	return adj
 }
 
 // wormHeap is a binary min-heap of worm slot indices keyed by worm id,
