@@ -66,12 +66,13 @@ bench-routing-baseline:
 bench-heuristics-baseline:
 	$(GO) test ./internal/heuristics -run TestWriteHeuristicsBenchBaseline -update-heuristics-bench
 
-## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + deadlock audit against the full wait-for graph)
+## fuzz: 30-second smoke of every fuzz target (healthy routing invariants + fault-mask CDG acyclicity + trace-parser round-trip + deadlock audit against the full wait-for graph + KMB's on-demand closure against the full one)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPlan -fuzztime 30s ./internal/routing
 	$(GO) test -run '^$$' -fuzz FuzzFaultMaskCDG -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 30s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzDetectDeadlock -fuzztime 30s ./internal/wormsim
+	$(GO) test -run '^$$' -fuzz FuzzKMB -fuzztime 30s ./internal/heuristics
 
 ## check-fault: the fault-injection acceptance suite — masked-CDG acyclicity for every scheme, degraded routing, mid-run kill semantics, retry accounting, exact-vs-heuristic bounds on faulty meshes, and the mcfault parallel determinism contract
 check-fault:

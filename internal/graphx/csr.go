@@ -8,7 +8,8 @@ import "slices"
 // insertion order (so "first neighbor" walks match Graph.ShortestPath);
 // SortedCol holds the same rows sorted ascending, for algorithms that
 // need numerically ordered neighbor iteration. The snapshot does not
-// track later AddEdge calls — rebuild after mutating the graph.
+// track later AddEdge calls — rebuild after mutating the graph (a
+// changed Graph.Version tells).
 type CSR struct {
 	RowStart  []int32
 	Col       []int32

@@ -13,7 +13,8 @@ import (
 
 // Graph is a simple undirected graph over vertices 0..N-1.
 type Graph struct {
-	adj [][]int
+	adj     [][]int
+	version uint64 // edge insertions so far; see Version
 }
 
 // NewGraph returns an empty graph with n vertices.
@@ -52,7 +53,13 @@ func (g *Graph) AddEdgeUnchecked(u, v int) {
 	g.check(v)
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.version++
 }
+
+// Version counts the edge insertions made so far. A snapshot built from
+// g (such as a CSR) is current exactly while g.Version() still equals
+// the value read when the snapshot was built.
+func (g *Graph) Version() uint64 { return g.version }
 
 // HasEdge reports whether (u, v) is an edge.
 func (g *Graph) HasEdge(u, v int) bool {

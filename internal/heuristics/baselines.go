@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"math"
 	"slices"
 
 	"multicastnet/internal/core"
@@ -108,27 +109,29 @@ func LEN(h *topology.Hypercube, k core.MulticastSet) *STResult {
 // tree terminal joined the tree earliest, then the candidate earliest
 // in input order (the map-based original left ties to map iteration
 // order). See kmbPrim.
+//
+// The closure is computed on demand, one BFS row per terminal as it
+// joins the tree, and each BFS stops at the radius Prim can still use
+// (see kmbPrim); the result is the one a full closure gives.
 func (ws *Workspace) KMB(g *graphx.Graph, terminals []int) int {
 	if len(terminals) < 2 {
 		ws.kmbPacked = ws.kmbPacked[:0]
 		return 0
 	}
-	ws.kmbClosure(g, terminals)
+	ws.kmbPrepare(g, len(terminals))
 	ws.kmbPrim(terminals)
 	return ws.kmbTree(terminals)
 }
 
-// kmbClosure builds the metric closure over the terminals: one BFS
-// distance row per terminal in ws.kdist (stride |V|), and sizes the
-// per-vertex KMB scratch for g.
-func (ws *Workspace) kmbClosure(g *graphx.Graph, terminals []int) {
-	if ws.csrFor != g {
-		ws.csr, ws.csrFor = graphx.NewCSR(g), g
+// kmbPrepare snapshots g as a CSR (again whenever g has gained edges
+// since the snapshot) and sizes the KMB scratch for g and nt terminals:
+// the terminal-major distance table ws.kdist (stride |V|) and the
+// per-vertex arrays.
+func (ws *Workspace) kmbPrepare(g *graphx.Graph, nt int) {
+	if ws.csrFor != g || ws.csrVer != g.Version() {
+		ws.csr, ws.csrFor, ws.csrVer = graphx.NewCSR(g), g, g.Version()
 	}
-	csr := ws.csr
-	n := csr.N()
-	nt := len(terminals)
-
+	n := ws.csr.N()
 	if cap(ws.kdist) < nt*n {
 		ws.kdist = make([]int32, nt*n)
 	}
@@ -141,26 +144,37 @@ func (ws *Workspace) kmbClosure(g *graphx.Graph, terminals []int) {
 		ws.kdeg = make([]int32, n)
 	}
 	ws.kparent, ws.kdeg = ws.kparent[:n], ws.kdeg[:n]
-	for ti, t := range terminals {
-		row := ws.kdist[ti*n : (ti+1)*n]
-		for i := range row {
-			row[i] = -1
+}
+
+// kmbRow fills terminal ti's closure row (its BFS distances from vertex
+// t) and returns it. The BFS stops once every vertex within radius hops
+// is labeled; the entries beyond stay -1.
+func (ws *Workspace) kmbRow(ti int32, t int, radius int32) []int32 {
+	csr := ws.csr
+	n := csr.N()
+	row := ws.kdist[int(ti)*n : (int(ti)+1)*n]
+	row[0] = -1
+	for i := 1; i < n; i *= 2 { // fill with -1 by doubling copies
+		copy(row[i:], row[:i])
+	}
+	row[t] = 0
+	q := ws.kqueue[:0]
+	q = append(q, int32(t))
+	for qh := 0; qh < len(q); qh++ {
+		u := q[qh]
+		du := row[u]
+		if du >= radius { // the queue is in distance order: level radius is done
+			break
 		}
-		row[t] = 0
-		q := ws.kqueue[:0]
-		q = append(q, int32(t))
-		for qh := 0; qh < len(q); qh++ {
-			u := q[qh]
-			du := row[u]
-			for _, w := range csr.Row(u) {
-				if row[w] < 0 {
-					row[w] = du + 1
-					q = append(q, w)
-				}
+		for _, w := range csr.Row(u) {
+			if row[w] < 0 {
+				row[w] = du + 1
+				q = append(q, w)
 			}
 		}
-		ws.kqueue = q
 	}
+	ws.kqueue = q
+	return row
 }
 
 // kmbPrim is Prim's MST over the terminal closure in O(t²). ktList
@@ -174,6 +188,15 @@ func (ws *Workspace) kmbClosure(g *graphx.Graph, terminals []int) {
 // by (insertion position, input index), the pair a full rescan of every
 // (tree terminal, candidate) pair in that order with strict improvement
 // would pick. The closure edges go to ws.kclosure.
+//
+// The closure row of a tree member is filled when it joins, and only as
+// far as it can matter: a candidate s takes a new key only when
+// d(ti, s) < kkey[s], so the BFS stops after level R = max(kkey[s]-1)
+// over the candidates (no bound while some key is -1), and the last
+// terminal to join needs no row at all. A candidate beyond R keeps its
+// key, as with the full row. kmbTree walks a row only back from a
+// candidate whose key that row set, so from within R, where every entry
+// it compares is filled; unfilled entries are -1 and match no distance.
 func (ws *Workspace) kmbPrim(terminals []int) {
 	n := ws.csr.N()
 	nt := len(terminals)
@@ -192,7 +215,18 @@ func (ws *Workspace) kmbPrim(terminals []int) {
 	for len(ws.ktList) < nt {
 		pos := int32(len(ws.ktList) - 1)
 		ti := ws.ktList[pos]
-		row := ws.kdist[int(ti)*n : (int(ti)+1)*n]
+		radius := int32(0)
+		for si, s := range terminals {
+			if ws.vis.has(int32(s)) {
+				continue
+			}
+			if key[si] < 0 {
+				radius = math.MaxInt32
+				break
+			}
+			radius = max(radius, key[si]-1)
+		}
+		row := ws.kmbRow(ti, terminals[ti], radius)
 		best := int32(-1)
 		for si, s := range terminals {
 			if ws.vis.has(int32(s)) {

@@ -36,33 +36,35 @@ func benchWorkload(tb testing.TB, t topology.Topology, dests, count int) []core.
 // TestWriteHeuristicsBenchBaseline enforces that on the committed
 // baseline.
 
+// BenchmarkGreedyST times the greedy Steiner tree on 10 destinations of
+// a 16x16 mesh, then on k destinations on the static study's hosts, the
+// cases BenchmarkKMB runs.
 func BenchmarkGreedyST(b *testing.B) {
-	b.Run("mesh16x16", func(b *testing.B) {
-		m := topology.NewMesh2D(16, 16)
-		sets := benchWorkload(b, m, 10, 64)
+	run := func(b *testing.B, t RegionTopology, dests int) {
+		sets := benchWorkload(b, t, dests, 64)
 		ws := NewWorkspace()
-		ws.GreedyST(m, sets[0])
+		ws.GreedyST(t, sets[0])
 		b.ReportAllocs()
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			total += ws.GreedyST(m, sets[i%len(sets)])
+			total += ws.GreedyST(t, sets[i%len(sets)])
 		}
 		_ = total
-	})
-	b.Run("cube10", func(b *testing.B) {
-		h := topology.NewHypercube(10)
-		sets := benchWorkload(b, h, 10, 64)
-		ws := NewWorkspace()
-		ws.GreedyST(h, sets[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += ws.GreedyST(h, sets[i%len(sets)])
+	}
+	b.Run("mesh16x16", func(b *testing.B) { run(b, topology.NewMesh2D(16, 16), 10) })
+	hosts := []struct {
+		name string
+		t    RegionTopology
+	}{
+		{"mesh32x32", topology.NewMesh2D(32, 32)},
+		{"cube10", topology.NewHypercube(10)},
+	}
+	for _, h := range hosts {
+		for _, k := range []int{10, 50, 200} {
+			b.Run(fmt.Sprintf("%s/k=%d", h.name, k), func(b *testing.B) { run(b, h.t, k) })
 		}
-		_ = total
-	})
+	}
 }
 
 func BenchmarkGreedySTCarried(b *testing.B) {

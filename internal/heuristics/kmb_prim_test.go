@@ -46,9 +46,24 @@ func (ws *Workspace) cubicPrim(terminals []int) {
 	}
 }
 
-// cubicKMB is Workspace.KMB with the O(t³) reference Prim step.
+// fullClosure fills every terminal's complete closure row from
+// Graph.BFSDistances, independently of the on-demand, radius-bounded
+// rows kmbPrim fills.
+func (ws *Workspace) fullClosure(g *graphx.Graph, terminals []int) {
+	ws.kmbPrepare(g, len(terminals))
+	n := ws.csr.N()
+	for ti, t := range terminals {
+		row := ws.kdist[ti*n : (ti+1)*n]
+		for v, d := range g.BFSDistances(t) {
+			row[v] = int32(d)
+		}
+	}
+}
+
+// cubicKMB is Workspace.KMB over the full closure with the O(t³)
+// reference Prim step.
 func (ws *Workspace) cubicKMB(g *graphx.Graph, terminals []int) int {
-	ws.kmbClosure(g, terminals)
+	ws.fullClosure(g, terminals)
 	ws.cubicPrim(terminals)
 	return ws.kmbTree(terminals)
 }
@@ -146,6 +161,67 @@ func TestKMBPrimMatchesCubicFaulty(t *testing.T) {
 	}
 }
 
+// kmbOutcome runs one KMB call and returns its edge count, or the value
+// it panicked with.
+func kmbOutcome(run func() int) (edges int, panicked any) {
+	defer func() { panicked = recover() }()
+	return run(), nil
+}
+
+// FuzzKMB is the differential test of the on-demand, radius-bounded
+// closure rows against the full closure with the cubic Prim step, on
+// small random graphs that may be disconnected: both must give the same
+// closure MST edges and pruned tree, or panic with the same value. Each
+// input runs in three terminal orders on the same two workspaces, so
+// rows left from a previous call are in place.
+func FuzzKMB(f *testing.F) {
+	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4}, []byte{0, 4})
+	// Two components.
+	f.Add(uint8(6), []byte{0, 1, 1, 2, 3, 4, 4, 5}, []byte{0, 2, 5})
+	// An isolated terminal.
+	f.Add(uint8(7), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5}, []byte{6, 0, 3})
+	// The 3x3 mesh.
+	f.Add(uint8(9), []byte{0, 1, 1, 2, 3, 4, 4, 5, 6, 7, 7, 8, 0, 3, 3, 6, 1, 4, 4, 7, 2, 5, 5, 8}, []byte{0, 8, 2, 6, 4})
+	f.Fuzz(func(t *testing.T, nb uint8, edges, terms []byte) {
+		n := 2 + int(nb)%31
+		g := graphx.NewGraph(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			u, v := int(edges[i])%n, int(edges[i+1])%n
+			if u != v && !g.HasEdge(u, v) {
+				g.AddEdge(u, v)
+			}
+		}
+		var terminals []int
+		for _, b := range terms {
+			if v := int(b) % n; !slices.Contains(terminals, v) {
+				terminals = append(terminals, v)
+			}
+		}
+		if len(terminals) < 2 {
+			return
+		}
+		ws, ref := NewWorkspace(), NewWorkspace()
+		for order := 0; order < 3; order++ {
+			got, gotPanic := kmbOutcome(func() int { return ws.KMB(g, terminals) })
+			want, wantPanic := kmbOutcome(func() int { return ref.cubicKMB(g, terminals) })
+			switch {
+			case gotPanic != wantPanic:
+				t.Fatalf("order %d: KMB panicked with %v, reference with %v (terminals %v)", order, gotPanic, wantPanic, terminals)
+			case gotPanic != nil:
+			case !slices.Equal(ws.kclosure, ref.kclosure):
+				t.Fatalf("order %d: closure MST %v, want %v (terminals %v)", order, ws.kclosure, ref.kclosure, terminals)
+			case got != want || !slices.Equal(ws.kmbPacked, ref.kmbPacked):
+				t.Fatalf("order %d: kmbPacked %v, want %v (terminals %v)", order, ws.kmbPacked, ref.kmbPacked, terminals)
+			}
+			if order == 0 {
+				slices.Reverse(terminals)
+			} else {
+				terminals = append(terminals[1:], terminals[0])
+			}
+		}
+	})
+}
+
 // TestKMBSteadyStateAllocationFree checks that a warm workspace routes
 // KMB with no heap allocation at the largest terminal count of the
 // static study.
@@ -166,5 +242,27 @@ func TestKMBSteadyStateAllocationFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: KMB allocates %.1f times per call on a warm workspace", host.Name(), allocs)
 		}
+	}
+}
+
+// TestKMBSeesEdgesAddedAfterSnapshot is the regression test for a
+// workspace that kept its CSR snapshot of a graph after the graph gained
+// an edge: KMB on the path 0-1-2-3-4 with terminals {0, 4}, then again
+// after AddEdge(0, 4), must answer what a fresh workspace answers.
+func TestKMBSeesEdgesAddedAfterSnapshot(t *testing.T) {
+	g := graphx.NewGraph(5)
+	for v := 0; v < 4; v++ {
+		g.AddEdge(v, v+1)
+	}
+	terminals := []int{0, 4}
+	ws := NewWorkspace()
+	if got := ws.KMB(g, terminals); got != 4 {
+		t.Fatalf("KMB on the path = %d edges, want 4", got)
+	}
+	g.AddEdge(0, 4)
+	got := ws.KMB(g, terminals)
+	want := NewWorkspace().KMB(g, terminals)
+	if want != 1 || got != want {
+		t.Fatalf("after AddEdge(0, 4): reused workspace %d edges, fresh workspace %d, want 1", got, want)
 	}
 }

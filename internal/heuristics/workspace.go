@@ -58,7 +58,8 @@ type Workspace struct {
 	// KMB state (graphx vertex space, not topology NodeIDs).
 	csr       *graphx.CSR
 	csrFor    *graphx.Graph
-	kdist     []int32    // terminal-major distance table, stride = |V|
+	csrVer    uint64     // csrFor.Version() when csr was built
+	kdist     []int32    // terminal-major closure rows, stride = |V|
 	kqueue    []int32    // BFS queue (also the visit-order log)
 	kparent   []int32    // spanning-tree parent
 	kdeg      []int32    // spanning-tree degree

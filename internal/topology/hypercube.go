@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Hypercube is the n-dimensional binary cube of Definition 4.2: 2^n nodes,
 // each with a unique n-bit address; two nodes are adjacent exactly when
@@ -41,14 +44,14 @@ func (h *Hypercube) Neighbors(v NodeID, buf []NodeID) []NodeID {
 
 // Adjacent implements Topology.
 func (h *Hypercube) Adjacent(u, v NodeID) bool {
-	return popcount(uint(u^v)) == 1
+	return bits.OnesCount(uint(u^v)) == 1
 }
 
 // Distance implements Topology: the Hamming distance ||b(u) XOR b(v)||.
 func (h *Hypercube) Distance(u, v NodeID) int {
 	checkNode(u, h.Nodes(), h)
 	checkNode(v, h.Nodes(), h)
-	return popcount(uint(u ^ v))
+	return bits.OnesCount(uint(u ^ v))
 }
 
 // Diameter implements Topology.
@@ -63,13 +66,4 @@ func (h *Hypercube) NearestOnShortestPaths(s, t, u NodeID) NodeID {
 	checkNode(u, h.Nodes(), h)
 	differ := s ^ t // bits free to vary along shortest s-t paths
 	return (u & differ) | (s &^ differ)
-}
-
-func popcount(x uint) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

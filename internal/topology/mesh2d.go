@@ -1,6 +1,10 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Mesh2D is the non-wraparound two-dimensional mesh of Definition 4.1: a
 // rectangular grid of Width columns by Height rows. Node (x, y) has
@@ -10,6 +14,12 @@ import "fmt"
 type Mesh2D struct {
 	Width  int // number of columns (x ranges over 0..Width-1)
 	Height int // number of rows (y ranges over 0..Height-1)
+
+	// recip is ⌈2^64/Width⌉, set by NewMesh2D when Width > 1 and the mesh
+	// has at most 2^32 nodes. Then v/Width is the high word of recip*v,
+	// exactly, for every NodeID v < 2^32 (Lemire, Kaser and Kurz, "Faster
+	// remainder by direct computation", 2019). XY divides when it is 0.
+	recip uint64
 }
 
 // NewMesh2D returns a Width x Height mesh. It panics when either dimension
@@ -18,7 +28,11 @@ func NewMesh2D(width, height int) *Mesh2D {
 	if width <= 0 || height <= 0 {
 		panic(fmt.Sprintf("topology: invalid mesh dimensions %dx%d", width, height))
 	}
-	return &Mesh2D{Width: width, Height: height}
+	m := &Mesh2D{Width: width, Height: height}
+	if width > 1 && uint64(height) <= (1<<32)/uint64(width) {
+		m.recip = math.MaxUint64/uint64(width) + 1
+	}
+	return m
 }
 
 // Name implements Topology.
@@ -53,7 +67,11 @@ func (m *Mesh2D) ID(x, y int) NodeID {
 // XY converts a NodeID to (x, y) coordinates.
 func (m *Mesh2D) XY(v NodeID) (x, y int) {
 	checkNode(v, m.Nodes(), m)
-	return int(v) % m.Width, int(v) / m.Width
+	if m.recip == 0 {
+		return int(v) % m.Width, int(v) / m.Width
+	}
+	q, _ := bits.Mul64(m.recip, uint64(v))
+	return int(v) - int(q)*m.Width, int(q)
 }
 
 // Neighbors implements Topology.

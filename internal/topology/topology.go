@@ -56,11 +56,16 @@ func NeighborsOf(t Topology, v NodeID) []NodeID {
 // address catches workload-generation bugs immediately. It takes the
 // topology rather than its name so the Name() Sprintf is only paid on the
 // panic path — checkNode guards every coordinate conversion in the
-// simulator's inner loop.
+// simulator's inner loop, so the panic lives in nodeOutOfRange to keep
+// checkNode small enough to inline.
 func checkNode(v NodeID, n int, t Topology) {
 	if v < 0 || int(v) >= n {
-		panic(fmt.Sprintf("topology: node %d out of range for %s with %d nodes", v, t.Name(), n))
+		nodeOutOfRange(v, n, t)
 	}
+}
+
+func nodeOutOfRange(v NodeID, n int, t Topology) {
+	panic(fmt.Sprintf("topology: node %d out of range for %s with %d nodes", v, t.Name(), n))
 }
 
 func abs(a int) int {

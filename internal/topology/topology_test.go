@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,45 @@ func TestMesh2DCoordinates(t *testing.T) {
 	}
 	if m.ID(4, 2) != NodeID(14) {
 		t.Errorf("ID(4,2)=%d, want 14", m.ID(4, 2))
+	}
+}
+
+// TestMesh2DXYMatchesDivision checks XY's reciprocal multiply against
+// / and % for every node of every mesh from 1x1 to 64x64, and for
+// sampled nodes of meshes near and beyond the 2^32-node limit of the
+// reciprocal (beyond it XY divides).
+func TestMesh2DXYMatchesDivision(t *testing.T) {
+	check := func(m *Mesh2D, v NodeID) {
+		x, y := m.XY(v)
+		if x != int(v)%m.Width || y != int(v)/m.Width {
+			t.Fatalf("%s: XY(%d) = (%d,%d), want (%d,%d)", m.Name(), v, x, y, int(v)%m.Width, int(v)/m.Width)
+		}
+	}
+	for w := 1; w <= 64; w++ {
+		for h := 1; h <= 64; h++ {
+			m := NewMesh2D(w, h)
+			for v := 0; v < m.Nodes(); v++ {
+				check(m, NodeID(v))
+			}
+		}
+	}
+	for _, dims := range [][2]int64{
+		{2, 1 << 31}, {3, 1431655765}, {65535, 65537}, {65536, 65536}, {1 << 32, 1},
+		{7, 1 << 30}, {65537, 65536}, {1 << 20, 1 << 20},
+	} {
+		if dims[0]*dims[1] > math.MaxInt { // 32-bit int
+			continue
+		}
+		m := NewMesh2D(int(dims[0]), int(dims[1]))
+		n := m.Nodes()
+		for _, v := range []int{0, 1, m.Width - 1, m.Width, n / 3, n/2 + 1, n - m.Width, n - 2, n - 1} {
+			if v < n {
+				check(m, NodeID(v))
+			}
+		}
+		for v := n - 1; v > n-1000; v-- {
+			check(m, NodeID(v))
+		}
 	}
 }
 
